@@ -97,8 +97,8 @@ void BM_StreamBankFill(benchmark::State& state) {
 BENCHMARK(BM_StreamBankFill)->Arg(128)->Arg(1024)->Arg(8192);
 
 // --- SIMD kernel layer: scalar reference vs the active dispatch level.
-// Run with --benchmark_filter=BM_Kernel --benchmark_format=json to
-// regenerate bench/BENCH_kernels.json.
+// Run with --benchmark_filter=BM_Kernel. The gated kernel baseline is the
+// `kernels` suite of `acoustic bench` in bench/BENCH_baseline.json.
 
 void BM_KernelComparePack(benchmark::State& state,
                           sc::kernels::Level level) {
@@ -180,8 +180,8 @@ BENCHMARK_CAPTURE(BM_KernelPopcountWords, active,
     ->Arg(1024);
 
 void BM_StreamPlanBuild(benchmark::State& state) {
-  // Packed layer-plan build for a conv2-sized weight lane space (one
-  // full-window kernel sweep per lane, sliced into pooling-window slots).
+  // Packed layer-plan build for a conv2-sized lane space (one full-window
+  // kernel sweep per lane, sliced into pooling-window slots).
   const auto lanes = static_cast<std::size_t>(state.range(0));
   const sim::SegmentSchedule sched{64, 4, 16};
   sim::StreamBank bank(8, 0xBEEF, 2 * sched.phase, true);

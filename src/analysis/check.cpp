@@ -110,6 +110,26 @@ StreamGeom check_stream_geometry(Report& report, const std::string& path,
   return g;
 }
 
+/// Reports rule plan-budget-exceeded when a weighted stage's product
+/// table would not fit the plan budget: the executor budgets the same
+/// sim::plan_table_bytes figure, so the note appears exactly when the
+/// stage falls back to on-the-fly weight streams.
+void report_plan_budget(Report& report, const std::string& path,
+                        const sim::ScConfig& cfg, std::size_t weights,
+                        const StreamGeom& g) {
+  const sim::SegmentSchedule sched{cfg.phase_length(), g.positions, g.seg};
+  const std::size_t bytes = sim::plan_table_bytes(weights, sched);
+  if (sim::within_plan_budget(bytes, cfg.plan_budget_bytes)) {
+    return;
+  }
+  report.add("plan-budget-exceeded", Severity::kNote, path,
+             "weight product table would need up to ~" +
+                 std::to_string(bytes >> 20) + " MiB against a budget of " +
+                 std::to_string(cfg.plan_budget_bytes >> 20) +
+                 " MiB; the layer falls back to on-the-fly weight stream "
+                 "generation (bit-identical, slower)");
+}
+
 /// Reports rule or-saturation if the estimate's OR line level exceeds the
 /// threshold. @p basis describes where the product probabilities came from;
 /// @p severity is kWarning when real weights backed the estimate and kNote
@@ -586,8 +606,12 @@ core::Report check_network(nn::Network& net, std::string_view name,
         }
         const StreamGeom g = check_stream_geometry(report, path, options.sc,
                                                    pool, out.h, out.w);
+        // Per-output fan-in: a grouped conv's output sees only its group's
+        // input channels, which is also its stride in the weight array.
         const std::size_t rf = static_cast<std::size_t>(spec.kernel) *
-                               spec.kernel * spec.in_channels;
+                               spec.kernel *
+                               static_cast<std::size_t>(spec.in_channels /
+                                                        spec.groups);
         if (g.ok && rf > 0) {
           const WorstPhase worst = worst_saturation(
               conv.weights(), static_cast<std::size_t>(spec.out_channels),
@@ -602,21 +626,8 @@ core::Report check_network(nn::Network& net, std::string_view name,
                     " phase at activation prior " +
                     fmt(options.activation_prior));
           }
-          // Per-lane packed plan footprint: lanes x slots x words x 8B.
-          const std::size_t plan_bytes =
-              conv.weights().size() * (2 * g.positions) *
-              ((g.seg + 63) / 64) * sizeof(std::uint64_t);
-          if (options.sc.plan_budget_bytes != 0 &&
-              plan_bytes > options.sc.plan_budget_bytes) {
-            report.add("plan-budget-exceeded", Severity::kNote, path,
-                       "weight stream plan would need ~" +
-                           std::to_string(plan_bytes >> 20) +
-                           " MiB against a budget of " +
-                           std::to_string(options.sc.plan_budget_bytes >>
-                                          20) +
-                           " MiB; the layer falls back to on-the-fly "
-                           "stream generation (bit-identical, slower)");
-          }
+          report_plan_budget(report, path, options.sc,
+                             conv.weights().size(), g);
         }
       }
       shape = out;
@@ -654,6 +665,8 @@ core::Report check_network(nn::Network& net, std::string_view name,
                     " phase at activation prior " +
                     fmt(options.activation_prior));
           }
+          report_plan_budget(report, path, options.sc,
+                             dense.weights().size(), g);
         }
       }
       shape = nn::Shape{1, 1, spec.out_features};

@@ -8,13 +8,16 @@
 //   check_schedule — the segment timetable covers every (sign, slot) pair
 //     exactly once, slot windows are disjoint within a phase, and every
 //     packed word offset stays inside the bank window.
-//   check_plan — planned segments are bit-identical to regenerating the
-//     same (lane, level, offset) window from the bank (sampled lanes; the
-//     golden suite sweeps whole networks on top of this).
+//   check_product_table — a stage's shared ProductTable agrees with the
+//     weights it was built for: extents, group prefix sums, gated counts,
+//     slot and lane lists in oc-major order, group bitmaps, and entry
+//     words bit-identical to regenerating the same (lane, level, offset)
+//     window from the bank (sampled entries; the golden suite sweeps whole
+//     networks on top of this).
 //
-// ScNetwork::validate_plans() composes these with its ProductTable
-// consistency checks; debug builds additionally assert the table
-// invariants right after each rebuild.
+// ScNetwork::validate_plans() runs both over every stage that has
+// executed; debug builds also run check_product_table on every table the
+// WeightPlanStore builds and assert it clean.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +37,14 @@ namespace acoustic::sim {
                                           std::size_t bank_length,
                                           std::string_view path);
 
-/// Cross-checks up to @p max_lanes built lanes of @p plan against fresh
-/// regeneration from @p bank: every slot of a sampled lane must serve
-/// exactly the words bank.fill produces for the schedule's offset.
-/// Disabled (over-budget) plans pass vacuously. Findings anchor at @p path.
-[[nodiscard]] core::Report check_plan(const LayerStreamPlan& plan,
-                                      const StreamBank& bank,
-                                      const SegmentSchedule& sched,
-                                      std::span<const std::uint32_t> levels,
-                                      std::string_view path,
-                                      std::size_t max_lanes = 8);
+/// Re-derives every invariant of @p table from the codes of @p weights
+/// (the weights the caller expects it to encode, quantized by @p bank) and
+/// its own map and schedule; cross-checks the words of up to
+/// @p max_entries entries, evenly spaced, against fresh regeneration from
+/// @p bank. Findings anchor at @p path.
+[[nodiscard]] core::Report check_product_table(
+    const ProductTable& table, const StreamBank& bank,
+    std::span<const float> weights, std::string_view path,
+    std::size_t max_entries = 64);
 
 }  // namespace acoustic::sim

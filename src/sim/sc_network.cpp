@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -48,14 +47,10 @@ struct ConvGeometry {
   /// divide evenly by the window size; hardware rounds the slice down the
   /// same way).
   double counted_bits = 0.0;
-  /// Receptive-field slot count: kernel^2 * in_channels, the full gather
-  /// extent regardless of grouping (cross-group slots simply map to no
-  /// weight).
-  std::size_t rf_max = 0;
-  std::size_t in_c = 0;          ///< input channels
-  std::size_t cpg = 0;           ///< input channels per group
-  std::size_t oc_per_group = 0;  ///< output channels per group
-  std::size_t w_per_oc = 0;      ///< weights per output channel (k*k*cpg)
+  /// (output channel, receptive-field slot) -> weight index. Its slot
+  /// count is kernel^2 * in_channels, the full gather extent regardless
+  /// of grouping (cross-group slots simply map to no weight).
+  WeightMap map;
 };
 
 ConvGeometry conv_geometry(const LoweredOp& op, const nn::Tensor& input,
@@ -83,29 +78,16 @@ ConvGeometry conv_geometry(const LoweredOp& op, const nn::Tensor& input,
   g.counted_bits = static_cast<double>(g.seg * g.window_positions);
   g.out_shape =
       nn::Shape{g.conv_out.h / g.pool, g.conv_out.w / g.pool, g.conv_out.c};
-  g.in_c = static_cast<std::size_t>(spec.in_channels);
-  g.rf_max = static_cast<std::size_t>(spec.kernel) * spec.kernel * g.in_c;
-  g.cpg = static_cast<std::size_t>(spec.in_channels / spec.groups);
-  g.oc_per_group = static_cast<std::size_t>(spec.out_channels / spec.groups);
-  g.w_per_oc =
-      static_cast<std::size_t>(spec.kernel) * spec.kernel * g.cpg;
+  const auto kk = static_cast<std::size_t>(spec.kernel) * spec.kernel;
+  const auto cpg = static_cast<std::size_t>(spec.in_channels / spec.groups);
+  g.map.outputs = static_cast<std::size_t>(spec.out_channels);
+  g.map.in_c = static_cast<std::size_t>(spec.in_channels);
+  g.map.slots = kk * g.map.in_c;
+  g.map.cpg = cpg;
+  g.map.oc_per_group =
+      static_cast<std::size_t>(spec.out_channels / spec.groups);
+  g.map.w_per_oc = kk * cpg;
   return g;
-}
-
-inline constexpr std::size_t kNoWeight = static_cast<std::size_t>(-1);
-
-/// Weight index of (output channel, receptive-field slot), or kNoWeight
-/// when the slot's input channel lies outside oc's group (grouped conv:
-/// that product does not exist — neither computed nor operand-gated).
-/// Degenerates to oc * rf_max + slot exactly when groups == 1.
-inline std::size_t weight_slot(const ConvGeometry& g, std::size_t oc,
-                               std::size_t slot) noexcept {
-  const std::size_t ic = slot % g.in_c;
-  const std::size_t rel = ic - (oc / g.oc_per_group) * g.cpg;
-  if (rel >= g.cpg) {  // unsigned wrap also catches ic < group base
-    return kNoWeight;
-  }
-  return oc * g.w_per_oc + (slot / g.in_c) * g.cpg + rel;
 }
 
 /// Folds an absorbed BatchNorm's per-channel scale into the conv weights
@@ -191,19 +173,241 @@ std::vector<std::uint32_t> quantize_activations(const StreamBank& bank,
 
 /// Quantizes all weight magnitudes once per layer (the sign schedules the
 /// product into the + or - phase instead).
-void quantize_weights_into(const StreamBank& bank,
-                           std::span<const float> weights,
-                           std::span<std::uint32_t> levels) {
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    levels[i] = bank.quantize(std::fabs(weights[i]));
-  }
-}
-
 std::vector<std::uint32_t> quantize_weights(const StreamBank& bank,
                                             std::span<const float> weights) {
   std::vector<std::uint32_t> levels(weights.size());
-  quantize_weights_into(bank, weights, levels);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    levels[i] = bank.quantize(std::fabs(weights[i]));
+  }
   return levels;
+}
+
+/// The datapath's one operation for one (sign phase, output) group: ORs
+/// act[slot[e]] AND wgt[e] over the group's @p n entries into one segment
+/// and returns the segment's ones count — what the up/down counter adds.
+/// Activation segments sit @p stride words apart, the weight segments are
+/// packed. W is the segment width in words when known at compile time, 0
+/// for a runtime width of @p words (then @p acc holds the segment).
+template <std::size_t W>
+std::int64_t or_chain(const std::uint64_t* act, std::size_t stride,
+                      const std::uint32_t* slot, const std::uint64_t* wgt,
+                      std::size_t n, std::size_t words, std::uint64_t* acc) {
+  if constexpr (W == 1) {
+    // Four independent accumulators break the OR dependency chain.
+    std::uint64_t a0 = 0;
+    std::uint64_t a1 = 0;
+    std::uint64_t a2 = 0;
+    std::uint64_t a3 = 0;
+    std::size_t e = 0;
+    for (; e + 4 <= n; e += 4) {
+      a0 |= act[slot[e] * stride] & wgt[e];
+      a1 |= act[slot[e + 1] * stride] & wgt[e + 1];
+      a2 |= act[slot[e + 2] * stride] & wgt[e + 2];
+      a3 |= act[slot[e + 3] * stride] & wgt[e + 3];
+    }
+    for (; e < n; ++e) {
+      a0 |= act[slot[e] * stride] & wgt[e];
+    }
+    return std::popcount((a0 | a1) | (a2 | a3));
+  } else {
+    std::fill_n(acc, words, std::uint64_t{0});
+    for (std::size_t e = 0; e < n; ++e) {
+      const std::uint64_t* a = act + slot[e] * stride;
+      const std::uint64_t* b = wgt + e * words;
+      for (std::size_t w = 0; w < words; ++w) {
+        acc[w] |= a[w] & b[w];
+      }
+    }
+    std::int64_t ones = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      ones += std::popcount(acc[w]);
+    }
+    return ones;
+  }
+}
+
+/// Fills the live entries of @p group (those whose slot satisfies
+/// @p live) with their segment at slot index @p si, straight from the
+/// bank — the over-budget stand-in for ProductTable::group_words(). Dead
+/// entries keep stale words: their activation words are zero, so the
+/// chain's AND drops them anyway.
+template <typename Live>
+const std::uint64_t* fill_group_words(const ProductTable& tbl,
+                                      const StreamBank& bank, std::size_t si,
+                                      std::size_t group, Live live,
+                                      std::uint64_t* tile) {
+  const SegmentSchedule& sched = tbl.sched;
+  const std::size_t words = sched.seg_words();
+  const bool positive = si < sched.positions;
+  const std::size_t offset =
+      sched.offset(positive, positive ? si : si - sched.positions);
+  const std::size_t off = tbl.group_off[group];
+  const std::size_t n = tbl.group_off[group + 1] - off;
+  for (std::size_t e = 0; e < n; ++e) {
+    if (live(tbl.slot_of[off + e])) {
+      const std::uint32_t lane = tbl.lane_of[off + e];
+      bank.fill(weight_code(bank, tbl.weights[lane]).level, lane, offset,
+                sched.seg, {tile + e * words, words});
+    }
+  }
+  return tile;
+}
+
+/// Everything one planned conv stage's row body reads: prepared before the
+/// row loop and read-only while workers run.
+struct ConvRows {
+  const ConvGeometry& g;
+  const nn::ConvSpec& spec;
+  const nn::Tensor& input;
+  std::span<const std::uint32_t> act_levels;
+  const LayerStreamPlan& act_plan;
+  const StreamBank& act_bank;
+  const ProductTable& tbl;
+  const StreamBank& wgt_bank;
+  std::span<const float> bias;
+  nn::Tensor& out;
+};
+
+/// One row worker's scratch and additive accounting (merged after the
+/// row loop; the sums are order-insensitive).
+struct ConvWorker {
+  std::span<std::uint64_t> act;       ///< [phase][slot][word] gathered words
+  std::span<std::uint64_t> live_bm;   ///< live receptive-field slots
+  std::span<std::uint64_t> acc;       ///< OR accumulator, one segment
+  std::span<std::uint64_t> wgt_tile;  ///< over-budget weight words, one group
+  std::span<std::int64_t> counters;   ///< per output channel
+  std::uint64_t product_bits = 0;
+  std::uint64_t skipped = 0;
+  StreamPlanCounters plan;
+};
+
+/// The planned conv row body, templated on the segment width W (1, or 0
+/// for a runtime width). Per window position it gathers the receptive
+/// field as plain activation words — zero for padding and dead
+/// activations, since OR-ing a zero AND is the identity, gating needs no
+/// branch — then runs every (sign phase, output) group of the product
+/// table through or_chain(). Live-product counts come from the group and
+/// live-slot bitmaps. Over-budget plans change only where the words come
+/// from: the gather fills activation words from the bank, and the weight
+/// words of each group are filled into the worker's tile.
+template <std::size_t W>
+void conv_row(const ConvRows& c, std::size_t row, ConvWorker& ws) {
+  const ConvGeometry& g = c.g;
+  const ProductTable& tbl = c.tbl;
+  const SegmentSchedule& sched = tbl.sched;
+  const std::size_t words = W != 0 ? W : g.seg_words;
+  const std::size_t rf = g.map.slots;
+  const std::size_t oc_count = g.map.outputs;
+  const std::size_t bm_words = tbl.bm_words;
+  const bool act_planned = c.act_plan.enabled();
+  const bool wgt_planned = tbl.has_words;
+  const auto seg = static_cast<std::uint64_t>(g.seg);
+  const int py = static_cast<int>(row);
+  std::uint64_t skipped = 0;  // kept local: ws fields may alias counters
+  for (int px = 0; px < g.out_shape.w; ++px) {
+    std::fill(ws.counters.begin(), ws.counters.end(), 0);
+    for (std::size_t k = 0; k < g.window_positions; ++k) {
+      const int oy = py * g.pool + static_cast<int>(k) / g.pool;
+      const int ox = px * g.pool + static_cast<int>(k) % g.pool;
+      const std::size_t sp = sched.slot_index(true, k);
+      const std::size_t sn = sched.slot_index(false, k);
+      std::fill(ws.act.begin(), ws.act.end(), std::uint64_t{0});
+      std::fill(ws.live_bm.begin(), ws.live_bm.end(), std::uint64_t{0});
+      std::uint64_t live = 0;
+      std::size_t slot = 0;
+      for (int ky = 0; ky < c.spec.kernel; ++ky) {
+        const int iy = oy * c.spec.stride + ky - c.spec.padding;
+        for (int kx = 0; kx < c.spec.kernel; ++kx) {
+          const int ix = ox * c.spec.stride + kx - c.spec.padding;
+          if (iy < 0 || iy >= g.in.h || ix < 0 || ix >= g.in.w) {
+            slot += g.map.in_c;
+            continue;
+          }
+          for (int ic = 0; ic < c.spec.in_channels; ++ic, ++slot) {
+            const std::size_t ai = c.input.index(iy, ix, ic);
+            const std::uint32_t level = c.act_levels[ai];
+            if (level == 0) {
+              continue;
+            }
+            std::uint64_t* pos = ws.act.data() + slot * words;
+            std::uint64_t* neg = pos + rf * words;
+            if (act_planned) {
+              const std::uint64_t* lane = c.act_plan.lane_words(ai);
+              std::copy_n(lane + sp * words, words, pos);
+              std::copy_n(lane + sn * words, words, neg);
+            } else {
+              const auto lane_id = static_cast<std::uint32_t>(ai);
+              c.act_bank.fill(level, lane_id, sched.offset(true, k), g.seg,
+                              {pos, words});
+              c.act_bank.fill(level, lane_id, sched.offset(false, k), g.seg,
+                              {neg, words});
+            }
+            ws.live_bm[slot / 64] |= std::uint64_t{1} << (slot % 64);
+            ++live;
+          }
+        }
+      }
+      for (int ph = 0; ph < 2; ++ph) {
+        const bool positive = ph == 0;
+        const std::size_t si = positive ? sp : sn;
+        const std::uint64_t* act = ws.act.data() + (positive ? 0 : rf * words);
+        // One activation segment per live slot per phase, served from the
+        // plan or generated on the fly.
+        if (act_planned) {
+          ws.plan.plan_hits += live;
+          ws.plan.bits_reused += live * seg;
+        } else {
+          ws.plan.plan_misses += live;
+          ws.plan.bits_generated += live * seg;
+        }
+        std::uint64_t products_here = 0;
+        for (std::size_t oc = 0; oc < oc_count; ++oc) {
+          const std::size_t group =
+              static_cast<std::size_t>(ph) * oc_count + oc;
+          const std::size_t off = tbl.group_off[group];
+          const std::size_t n = tbl.group_off[group + 1] - off;
+          const std::uint64_t* gbm = tbl.group_bm.data() + group * bm_words;
+          std::uint64_t products = 0;
+          for (std::size_t w = 0; w < bm_words; ++w) {
+            products += static_cast<std::uint64_t>(
+                std::popcount(gbm[w] & ws.live_bm[w]));
+          }
+          skipped += tbl.gated[group] + (n - products);
+          if (products == 0) {
+            continue;
+          }
+          const auto live_slot = [&](std::uint32_t s) {
+            return ((ws.live_bm[s / 64] >> (s % 64)) & 1u) != 0;
+          };
+          const std::uint64_t* wgt =
+              wgt_planned ? tbl.group_words(si, group)
+                          : fill_group_words(tbl, c.wgt_bank, si, group,
+                                             live_slot, ws.wgt_tile.data());
+          const std::int64_t ones =
+              or_chain<W>(act, words, tbl.slot_of.data() + off, wgt, n,
+                          words, ws.acc.data());
+          ws.counters[oc] += positive ? ones : -ones;
+          products_here += products;
+        }
+        // One weight segment per live product, likewise.
+        ws.product_bits += products_here * seg;
+        if (wgt_planned) {
+          ws.plan.plan_hits += products_here;
+          ws.plan.bits_reused += products_here * seg;
+        } else {
+          ws.plan.plan_misses += products_here;
+          ws.plan.bits_generated += products_here * seg;
+        }
+      }
+    }
+    for (std::size_t oc = 0; oc < oc_count; ++oc) {
+      c.out.at(py, px, static_cast<int>(oc)) =
+          static_cast<float>(static_cast<double>(ws.counters[oc]) /
+                             g.counted_bits) +
+          c.bias[oc];
+    }
+  }
+  ws.skipped += skipped;
 }
 
 }  // namespace
@@ -231,9 +435,9 @@ runtime::ThreadPool* ScNetwork::intra_pool(std::size_t work_words) {
     return nullptr;
   }
   // Auto mode (0) gates per layer: below the work threshold the fork/join
-  // overhead exceeds the sharding win (bench/BENCH_sc_forward.json recorded
-  // 330 us at 4 forced threads vs 211 us serial on LeNet-small), so small
-  // layers stay serial. An explicit thread count always engages the pool.
+  // overhead exceeds the sharding win (the forward bench recorded 330 us
+  // at 4 forced threads vs 211 us serial on LeNet-small), so small layers
+  // stay serial. An explicit thread count always engages the pool.
   if (cfg_.intra_threads == 0 && work_words < cfg_.intra_work_threshold) {
     return nullptr;
   }
@@ -260,43 +464,24 @@ StreamBank& ScNetwork::activation_bank() {
   return *act_bank_;
 }
 
-StreamBank& ScNetwork::weight_bank() {
-  if (wgt_bank_ == nullptr) {
-    wgt_bank_ = std::make_unique<StreamBank>(
-        cfg_.sng_width, cfg_.weight_seed, 2 * cfg_.phase_length(),
-        cfg_.decorrelate_lanes);
-  }
-  return *wgt_bank_;
-}
-
-std::shared_ptr<const LayerStreamPlan> ScNetwork::weight_plan(
-    std::size_t stage_idx, const SegmentSchedule& sched,
-    std::span<const std::uint32_t> levels, runtime::ThreadPool* pool) {
-  // The build's own kernel bits are deliberately NOT charged to per-run
-  // stats: a weight plan is built once and amortized across every image
-  // (and every clone), so charging the builder would make stats depend on
-  // evaluation history and break the thread-count / repeated-run
-  // invariance the batch evaluator guarantees.
-  StreamPlanCounters built;
-  return wgt_plans_->get(stage_idx, sched, levels, cfg_.plan_budget_bytes,
-                         built, pool);
-}
-
-std::span<const std::uint32_t> ScNetwork::cached_weight_levels(
-    StageScratch& scratch, const StreamBank& bank,
-    std::span<const float> weights, bool& refreshed) {
-  const bool hit =
-      scratch.wgt_src.size() == weights.size() &&
+const ProductTable& ScNetwork::weight_table(std::size_t stage_idx,
+                                            std::span<const float> weights,
+                                            const SegmentSchedule& sched,
+                                            const WeightMap& map,
+                                            runtime::ThreadPool* pool) {
+  StageScratch& stage = stage_scratch_[stage_idx];
+  const ProductTable* held = stage.table.get();
+  const bool fresh =
+      held != nullptr && held->sched == sched &&
+      held->weights.size() == weights.size() &&
       (weights.empty() ||
-       std::memcmp(scratch.wgt_src.data(), weights.data(),
+       std::memcmp(held->weights.data(), weights.data(),
                    weights.size() * sizeof(float)) == 0);
-  if (!hit) {
-    scratch.wgt_src.assign(weights.begin(), weights.end());
-    scratch.wgt_levels.resize(weights.size());
-    quantize_weights_into(bank, weights, scratch.wgt_levels);
-    refreshed = true;
+  if (!fresh) {
+    stage.table = wgt_plans_->get(stage_idx, sched, map, weights,
+                                  cfg_.plan_budget_bytes, pool);
   }
-  return scratch.wgt_levels;
+  return *stage.table;
 }
 
 void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
@@ -521,10 +706,11 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
 
   // Receptive-field scratch: activation segment streams for one (output
   // position, window slot, phase), plus reusable weight/OR buffers.
-  std::vector<Words> act_streams(g.rf_max, Words(g.seg_words));
-  std::vector<std::uint32_t> rf_weight_lane(g.rf_max);
-  std::vector<std::size_t> rf_act_index(g.rf_max);
-  std::vector<char> rf_live(g.rf_max);
+  const std::size_t rf_max = g.map.slots;
+  std::vector<Words> act_streams(rf_max, Words(g.seg_words));
+  std::vector<std::uint32_t> rf_weight_lane(rf_max);
+  std::vector<std::size_t> rf_act_index(rf_max);
+  std::vector<char> rf_live(rf_max);
   Words wgt_stream(g.seg_words);
   Words or_acc(g.seg_words);
   std::vector<std::int64_t> counters(static_cast<std::size_t>(g.conv_out.c));
@@ -562,9 +748,9 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
             }
             bool any = false;
             for (std::size_t s = 0; s < rf_size; ++s) {
-              const std::size_t wi = weight_slot(
-                  g, static_cast<std::size_t>(oc), rf_weight_lane[s]);
-              if (wi == kNoWeight) {
+              const std::size_t wi = g.map.weight(
+                  static_cast<std::size_t>(oc), rf_weight_lane[s]);
+              if (wi == WeightMap::kNone) {
                 continue;  // grouped conv: no weight connects this pair
               }
               const float wv = weights[wi];
@@ -608,34 +794,27 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
   run.stream_bits_generated += bits_generated;
 }
 
-// Fast path: packed per-layer stream plans + optional row parallelism.
-// Bit-identical to run_conv_scalar — every served segment is the same pure
-// function of (bank, lane, level, offset), counter accumulation stays
-// integer-exact, and output rows are disjoint, so the H-row shard merge is
-// independent of worker count and scheduling order. All per-forward
-// scratch comes from the arena (carved BEFORE the row loop — the arena is
-// single-owner), so a steady-state call allocates nothing.
+// Planned path: the stage's shared product table, a per-image activation
+// plan and optional row parallelism. Bit-identical to run_conv_scalar —
+// every served segment is the same pure function of (bank, lane, level,
+// offset), counter accumulation stays integer-exact, and output rows are
+// disjoint, so the row-shard merge is independent of worker count and
+// scheduling order. All per-forward scratch comes from the arena (carved
+// BEFORE the row loop — the arena is single-owner), so a steady-state call
+// allocates nothing.
 void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
                                  const nn::Tensor& input, nn::Tensor& out,
                                  Stats& run) {
-  const nn::Conv2D& conv = *op.conv;
-  const auto& spec = conv.spec();
   const std::size_t phase = cfg_.phase_length();
   const ConvGeometry g = conv_geometry(op, input, phase);
-  const sc::kernels::KernelTable& kt = sc::kernels::table();
 
   StreamBank& act_bank = activation_bank();
   const std::span<std::uint32_t> act_levels =
       arena_.alloc<std::uint32_t>(input.size());
   quantize_activations_into(act_bank, input, act_levels);
-  StageScratch& stage_scratch = stage_scratch_[op_idx];
-  const std::span<const float> weights =
-      node_weights(op, stage_scratch.folded);
-  bool wgt_refreshed = false;
-  const std::span<const std::uint32_t> wgt_levels = cached_weight_levels(
-      stage_scratch, weight_bank(), weights, wgt_refreshed);
+  StageScratch& stage = stage_scratch_[op_idx];
   // Folded BatchNorm shift per output channel (zeros without a BN), added
-  // after the counter divide — identical expression in every row body.
+  // after the counter divide.
   const std::span<float> bias =
       arena_.alloc<float>(static_cast<std::size_t>(g.conv_out.c));
   for (int oc = 0; oc < g.conv_out.c; ++oc) {
@@ -646,563 +825,50 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   // Estimated word-level AND/OR work: output positions x window slots x
   // receptive field x output channels x segment words — the quantity the
   // auto-mode gate compares against intra_work_threshold.
+  const std::size_t rf = g.map.slots;
   const std::size_t work_words = static_cast<std::size_t>(g.out_shape.h) *
                                  static_cast<std::size_t>(g.out_shape.w) *
-                                 g.window_positions *
-                                 static_cast<std::size_t>(g.conv_out.c) *
-                                 g.rf_max * g.seg_words;
+                                 g.window_positions * g.map.outputs * rf *
+                                 g.seg_words;
   runtime::ThreadPool* pool = intra_pool(work_words);
 
-  // Weight plan: cached across images (the levels vector is the cache
-  // key). Activation plan: rebuilt per image into the stage's retained
-  // plan object — its table allocation depends only on (lanes, schedule),
-  // so across an evaluation the rebuild is allocation-free. Building
-  // before the row loop keeps both tables read-only while workers run.
+  // Both tables are ready before the row loop, so they stay read-only
+  // while workers run. The product table is shared across images and
+  // clones; the activation plan is rebuilt per image into the stage's
+  // retained plan object, allocation-free across an evaluation.
   const SegmentSchedule sched{phase, g.window_positions, g.seg};
-  const std::shared_ptr<const LayerStreamPlan> wgt_plan_ptr =
-      weight_plan(op_idx, sched, wgt_levels, pool);
-  const LayerStreamPlan& wgt_plan = *wgt_plan_ptr;
-  if (stage_scratch.act_plan == nullptr ||
-      stage_scratch.lanes != input.size() ||
-      !(stage_scratch.sched == sched)) {
-    stage_scratch.act_plan = std::make_unique<LayerStreamPlan>(
+  const ProductTable& tbl = weight_table(
+      op_idx, node_weights(op, stage.folded), sched, g.map, pool);
+  if (stage.act_plan == nullptr || stage.act_plan->lanes() != input.size() ||
+      !(stage.act_plan->schedule() == sched)) {
+    stage.act_plan = std::make_unique<LayerStreamPlan>(
         act_bank, sched, input.size(), cfg_.plan_budget_bytes);
-    stage_scratch.lanes = input.size();
-    stage_scratch.sched = sched;
   }
-  LayerStreamPlan& act_plan = *stage_scratch.act_plan;
   StreamPlanCounters build_counters;
-  act_plan.build(act_levels, build_counters, pool);
+  stage.act_plan->build(act_levels, build_counters, pool);
 
   out.resize(g.out_shape);
   const unsigned workers = pool != nullptr ? pool->size() : 1u;
-  const bool fast = wgt_plan.enabled() && act_plan.enabled();
-  const auto oc_count = static_cast<std::size_t>(g.conv_out.c);
-  const std::size_t seg_words = g.seg_words;
-  // Single-word segments (the common geometry) take a branchless row body
-  // driven by the stage's cached ProductTable; wider segments and
-  // budget-disabled plans take the kernel-chain / generic bodies below.
-  const bool fast1 = fast && seg_words == 1;
-
-  // Sign scheduling is position-invariant: whether weight (oc, slot) joins
-  // the + or the - phase depends only on its sign, and a zero-quantized
-  // weight is operand-gated at every position. Classify each weight once
-  // per layer into a flat grouped table (count -> prefix -> fill, all
-  // arena-backed), hoisting the sign test, the zero-weight gate and the
-  // plan lookup out of the per-position product loop.
-  struct SignEntry {
-    std::uint32_t slot;         ///< receptive-field slot (== weight offset)
-    const std::uint64_t* lane;  ///< weight lane's packed slot table
-  };
-  const std::size_t groups = 2 * oc_count;  // [ph * oc_count + oc]
-
-  // Branchless-path table: rebuilt only when the weights (sign pattern or
-  // quantized levels) or the segment schedule changed — never in steady
-  // state, so the retained vectors keep per-image forwards allocation-free.
-  StageScratch::ProductTable& tbl = stage_scratch.products;
-  if (fast1 && (!tbl.built || wgt_refreshed || !(tbl.sched == sched))) {
-    const std::size_t slots = sched.slots();
-    tbl.sched = sched;
-    tbl.bm_words = (g.rf_max + 63) / 64;
-    tbl.group_count.assign(groups, 0);
-    tbl.gated.assign(groups, 0);
-    tbl.group_off.assign(groups + 1, 0);
-    tbl.group_bm.assign(groups * tbl.bm_words, 0);
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t s = 0; s < g.rf_max; ++s) {
-        const std::size_t wi = weight_slot(g, oc, s);
-        if (wi == kNoWeight) {
-          continue;  // grouped conv: slot outside oc's group
-        }
-        const float wv = weights[wi];
-        // Same predicates as the scalar path's active_here test: zero (and
-        // non-finite) weights are active in neither sign phase.
-        if (!(wv > 0.0f) && !(wv < 0.0f)) {
-          continue;
-        }
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        if (wgt_levels[wi] != 0) {
-          ++tbl.group_count[group];
-        } else {
-          ++tbl.gated[group];
-        }
-      }
-    }
-    std::uint32_t total = 0;
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      tbl.group_off[gi] = total;
-      total += tbl.group_count[gi];
-    }
-    tbl.group_off[groups] = total;
-    tbl.total = total;
-    tbl.slot_of.assign(total, 0);
-    tbl.wgt_w.assign(slots * total, 0);
-    std::vector<std::uint32_t> cursor(tbl.group_off.begin(),
-                                      tbl.group_off.end() - 1);
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t s = 0; s < g.rf_max; ++s) {
-        const std::size_t wi = weight_slot(g, oc, s);
-        if (wi == kNoWeight) {
-          continue;
-        }
-        const float wv = weights[wi];
-        if ((!(wv > 0.0f) && !(wv < 0.0f)) || wgt_levels[wi] == 0) {
-          continue;
-        }
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        const std::uint32_t ei = cursor[group]++;
-        tbl.slot_of[ei] = static_cast<std::uint32_t>(s);
-        // Transpose the weight lane's slot words so each group's entries
-        // are sequential loads per (phase, position).
-        const std::uint64_t* lane = wgt_plan.lane_words(wi);
-        for (std::size_t si = 0; si < slots; ++si) {
-          tbl.wgt_w[si * total + ei] = lane[si];
-        }
-        tbl.group_bm[group * tbl.bm_words + s / 64] |=
-            std::uint64_t{1} << (s % 64);
-      }
-    }
-    tbl.built = true;
-#ifndef NDEBUG
-    // A freshly rebuilt table must satisfy the plan invariants the
-    // release-mode validator (validate_plans) re-derives on demand: the
-    // prefix sums tile [0, total), every slot id lands in its group's
-    // bitmap, and the bitmaps account for exactly the live entries.
-    assert(tbl.group_off.size() == groups + 1);
-    assert(tbl.group_off[groups] == tbl.total);
-    assert(tbl.slot_of.size() == tbl.total);
-    assert(tbl.wgt_w.size() == slots * tbl.total);
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      assert(tbl.group_off[gi + 1] - tbl.group_off[gi] ==
-             tbl.group_count[gi]);
-      std::uint64_t bits = 0;
-      for (std::size_t w = 0; w < tbl.bm_words; ++w) {
-        bits += static_cast<std::uint64_t>(
-            std::popcount(tbl.group_bm[gi * tbl.bm_words + w]));
-      }
-      assert(bits == tbl.group_count[gi]);
-      for (std::size_t ei = tbl.group_off[gi]; ei < tbl.group_off[gi + 1];
-           ++ei) {
-        const std::uint32_t slot = tbl.slot_of[ei];
-        assert(slot < g.rf_max);
-        assert((tbl.group_bm[gi * tbl.bm_words + slot / 64] >>
-                (slot % 64)) & 1u);
-      }
-    }
-#endif
-  }
-
-  std::span<std::uint32_t> group_count;
-  std::span<std::uint32_t> group_off;  ///< exclusive prefix, groups + 1 wide
-  std::span<std::uint32_t> gated;      ///< always-skipped per group
-  std::span<SignEntry> entries;
-  if (fast && !fast1) {
-    group_count = arena_.alloc<std::uint32_t>(groups);
-    gated = arena_.alloc<std::uint32_t>(groups);
-    group_off = arena_.alloc<std::uint32_t>(groups + 1);
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t s = 0; s < g.rf_max; ++s) {
-        const std::size_t wi = weight_slot(g, oc, s);
-        if (wi == kNoWeight) {
-          continue;  // grouped conv: slot outside oc's group
-        }
-        const float wv = weights[wi];
-        // Same predicates as the scalar path's active_here test: zero (and
-        // non-finite) weights are active in neither sign phase.
-        if (!(wv > 0.0f) && !(wv < 0.0f)) {
-          continue;
-        }
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        if (wgt_levels[wi] != 0) {
-          ++group_count[group];
-        } else {
-          ++gated[group];
-        }
-      }
-    }
-    std::uint32_t total = 0;
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      group_off[gi] = total;
-      total += group_count[gi];
-    }
-    group_off[groups] = total;
-    entries = arena_.alloc<SignEntry>(total);
-    const std::span<std::uint32_t> cursor = arena_.alloc<std::uint32_t>(groups);
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      cursor[gi] = group_off[gi];
-    }
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t s = 0; s < g.rf_max; ++s) {
-        const std::size_t wi = weight_slot(g, oc, s);
-        if (wi == kNoWeight) {
-          continue;
-        }
-        const float wv = weights[wi];
-        if ((!(wv > 0.0f) && !(wv < 0.0f)) || wgt_levels[wi] == 0) {
-          continue;
-        }
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        entries[cursor[group]++] = {static_cast<std::uint32_t>(s),
-                                    wgt_plan.lane_words(wi)};
-      }
+  const std::size_t words = g.seg_words;
+  const std::span<ConvWorker> states = arena_.alloc<ConvWorker>(workers);
+  for (ConvWorker& ws : states) {
+    ws.acc = arena_.alloc<std::uint64_t>(words);
+    ws.counters = arena_.alloc<std::int64_t>(g.map.outputs);
+    ws.act = arena_.alloc<std::uint64_t>(2 * rf * words);
+    ws.live_bm = arena_.alloc<std::uint64_t>(tbl.bm_words);
+    if (!tbl.has_words) {
+      ws.wgt_tile = arena_.alloc<std::uint64_t>(rf * words);
     }
   }
 
-  // Per-worker scratch and accounting: disjoint output rows, additive
-  // counters merged after the loop (order-insensitive sums). Spans carve
-  // the arena up front; only the path that runs gets its buffers.
-  struct WorkerState {
-    std::span<std::uint64_t> act_w;    ///< [phase][slot] act words (fast1)
-    std::span<std::uint64_t> live_bm;  ///< live-slot bitmap (fast1)
-    std::span<const std::uint64_t*> act_lane;  ///< per-slot plan row (fast)
-    std::span<const std::uint64_t*> act_seg;  ///< per-slot segment (generic)
-    std::span<std::uint64_t> act_scratch;  ///< fallback storage per slot
-    std::span<std::uint64_t> wgt_scratch;
-    std::span<std::uint64_t> or_acc;
-    std::span<std::uint32_t> rf_weight_lane;
-    std::span<std::size_t> rf_act_index;
-    std::span<char> rf_live;
-    std::span<std::int64_t> counters;
-    std::uint64_t product_bits = 0;
-    std::uint64_t skipped = 0;
-    StreamPlanCounters plan;
-  };
-  const std::span<WorkerState> states = arena_.alloc<WorkerState>(workers);
-  for (WorkerState& ws : states) {
-    ws.or_acc = arena_.alloc<std::uint64_t>(seg_words);
-    ws.counters = arena_.alloc<std::int64_t>(oc_count);
-    if (fast1) {
-      ws.act_w = arena_.alloc<std::uint64_t>(2 * g.rf_max);
-      ws.live_bm = arena_.alloc<std::uint64_t>(tbl.bm_words);
-    } else if (fast) {
-      ws.act_lane = arena_.alloc<const std::uint64_t*>(g.rf_max);
-    } else {
-      ws.act_seg = arena_.alloc<const std::uint64_t*>(g.rf_max);
-      ws.act_scratch = arena_.alloc<std::uint64_t>(g.rf_max * seg_words);
-      ws.wgt_scratch = arena_.alloc<std::uint64_t>(seg_words);
-      ws.rf_weight_lane = arena_.alloc<std::uint32_t>(g.rf_max);
-      ws.rf_act_index = arena_.alloc<std::size_t>(g.rf_max);
-      ws.rf_live = arena_.alloc<char>(g.rf_max);
-    }
-  }
-
-  // Branchless row body (single-word segments): the receptive field is
-  // gathered once per window position as plain activation WORDS (zero for
-  // padding, dead activations and dead lanes — OR-ing a zero word is the
-  // identity, so gating needs no branch), and every group's products run
-  // as a straight-line AND/OR chain over the table's sequential weight
-  // words. Product/skip counts come from the group x live slot bitmaps,
-  // so the accounting is bit-identical to the entry-scan bodies below.
-  const auto run_row_fast1 = [&](std::size_t row, unsigned worker) {
-    WorkerState& ws = states[worker];
-    const std::size_t total = tbl.total;
-    const std::size_t bm_words = tbl.bm_words;
-    std::uint64_t* const act_pos = ws.act_w.data();
-    std::uint64_t* const act_neg = ws.act_w.data() + g.rf_max;
-    std::uint64_t* const live_bm = ws.live_bm.data();
-    const int py = static_cast<int>(row);
-    for (int px = 0; px < g.out_shape.w; ++px) {
-      for (auto& c : ws.counters) {
-        c = 0;
-      }
-      for (int k = 0; k < static_cast<int>(g.window_positions); ++k) {
-        const int oy = py * g.pool + k / g.pool;
-        const int ox = px * g.pool + k % g.pool;
-        const std::size_t sp =
-            sched.slot_index(true, static_cast<std::size_t>(k));
-        const std::size_t sn =
-            sched.slot_index(false, static_cast<std::size_t>(k));
-        std::fill_n(act_pos, g.rf_max, std::uint64_t{0});
-        std::fill_n(act_neg, g.rf_max, std::uint64_t{0});
-        std::fill_n(live_bm, bm_words, std::uint64_t{0});
-        std::uint64_t live = 0;
-        {
-          std::size_t slot = 0;
-          for (int ky = 0; ky < spec.kernel; ++ky) {
-            const int iy = oy * spec.stride + ky - spec.padding;
-            for (int kx = 0; kx < spec.kernel; ++kx) {
-              const int ix = ox * spec.stride + kx - spec.padding;
-              if (iy < 0 || iy >= g.in.h || ix < 0 || ix >= g.in.w) {
-                slot += static_cast<std::size_t>(spec.in_channels);
-                continue;
-              }
-              for (int ic = 0; ic < spec.in_channels; ++ic, ++slot) {
-                const std::size_t ai = input.index(iy, ix, ic);
-                if (act_levels[ai] != 0) {
-                  const std::uint64_t* lane = act_plan.lane_words(ai);
-                  act_pos[slot] = lane[sp];
-                  act_neg[slot] = lane[sn];
-                  live_bm[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-                  ++live;
-                }
-              }
-            }
-          }
-        }
-        for (int ph = 0; ph < 2; ++ph) {
-          const bool positive = ph == 0;
-          const std::uint64_t* const act_w = positive ? act_pos : act_neg;
-          const std::uint64_t* const ww_base =
-              tbl.wgt_w.data() + (positive ? sp : sn) * total;
-          // Activation segments: one plan hit per live slot per phase
-          // (the same accounting the generic fetch() path produces).
-          ws.plan.plan_hits += live;
-          ws.plan.bits_reused += live * g.seg;
-          std::uint64_t products_here = 0;
-          for (std::size_t oc = 0; oc < oc_count; ++oc) {
-            const std::size_t group =
-                static_cast<std::size_t>(ph) * oc_count + oc;
-            const std::size_t off = tbl.group_off[group];
-            const std::size_t n_ent = tbl.group_count[group];
-            const std::uint32_t* const sl = tbl.slot_of.data() + off;
-            const std::uint64_t* const ww = ww_base + off;
-            // Four independent accumulators break the OR dependency chain.
-            std::uint64_t a0 = 0;
-            std::uint64_t a1 = 0;
-            std::uint64_t a2 = 0;
-            std::uint64_t a3 = 0;
-            std::size_t ei = 0;
-            for (; ei + 4 <= n_ent; ei += 4) {
-              a0 |= act_w[sl[ei]] & ww[ei];
-              a1 |= act_w[sl[ei + 1]] & ww[ei + 1];
-              a2 |= act_w[sl[ei + 2]] & ww[ei + 2];
-              a3 |= act_w[sl[ei + 3]] & ww[ei + 3];
-            }
-            for (; ei < n_ent; ++ei) {
-              a0 |= act_w[sl[ei]] & ww[ei];
-            }
-            const std::uint64_t acc = (a0 | a1) | (a2 | a3);
-            const std::uint64_t* const gbm =
-                tbl.group_bm.data() + group * bm_words;
-            std::uint64_t products = 0;
-            for (std::size_t w = 0; w < bm_words; ++w) {
-              products += static_cast<std::uint64_t>(
-                  std::popcount(gbm[w] & live_bm[w]));
-            }
-            ws.skipped += tbl.gated[group] + (n_ent - products);
-            if (products != 0) {
-              const auto ones =
-                  static_cast<std::int64_t>(std::popcount(acc));
-              ws.counters[oc] += positive ? ones : -ones;
-            }
-            products_here += products;
-          }
-          ws.product_bits += products_here * g.seg;
-          ws.plan.plan_hits += products_here;
-          ws.plan.bits_reused += products_here * g.seg;
-        }
-      }
-      for (std::size_t oc = 0; oc < oc_count; ++oc) {
-        out.at(py, px, static_cast<int>(oc)) =
-            static_cast<float>(static_cast<double>(ws.counters[oc]) /
-                               g.counted_bits) +
-            bias[oc];
-      }
-    }
-  };
-
-  // Hot row body: every product is two loads, an AND and an OR — segments
-  // come straight out of the plan tables via hoisted row pointers, and all
-  // counters are tallied arithmetically per group instead of per product.
-  // Single-word segments use a register accumulator; wider segments run
-  // the dispatched and_or kernel with the final product's popcount fused.
-  const SignEntry* entry_base = entries.data();
-  const auto run_row_fast = [&](std::size_t row, unsigned worker) {
-    WorkerState& ws = states[worker];
-    const int py = static_cast<int>(row);
-    for (int px = 0; px < g.out_shape.w; ++px) {
-      for (auto& c : ws.counters) {
-        c = 0;
-      }
-      for (int k = 0; k < static_cast<int>(g.window_positions); ++k) {
-        const int oy = py * g.pool + k / g.pool;
-        const int ox = px * g.pool + k % g.pool;
-        // Gather the receptive field as direct plan-row pointers
-        // (nullptr = zero padding or zero activation, operand-gated).
-        std::uint64_t live = 0;
-        {
-          std::size_t slot = 0;
-          for (int ky = 0; ky < spec.kernel; ++ky) {
-            const int iy = oy * spec.stride + ky - spec.padding;
-            for (int kx = 0; kx < spec.kernel; ++kx) {
-              const int ix = ox * spec.stride + kx - spec.padding;
-              if (iy < 0 || iy >= g.in.h || ix < 0 || ix >= g.in.w) {
-                for (int ic = 0; ic < spec.in_channels; ++ic) {
-                  ws.act_lane[slot++] = nullptr;
-                }
-                continue;
-              }
-              for (int ic = 0; ic < spec.in_channels; ++ic) {
-                const std::size_t ai = input.index(iy, ix, ic);
-                if (act_levels[ai] != 0) {
-                  ws.act_lane[slot++] = act_plan.lane_words(ai);
-                  ++live;
-                } else {
-                  ws.act_lane[slot++] = nullptr;
-                }
-              }
-            }
-          }
-        }
-        for (int ph = 0; ph < 2; ++ph) {
-          const bool positive = ph == 0;
-          const std::size_t slot_off =
-              sched.slot_index(positive, static_cast<std::size_t>(k)) *
-              seg_words;
-          // Activation segments: one plan hit per live slot per phase
-          // (the same accounting the generic fetch() path produces).
-          ws.plan.plan_hits += live;
-          ws.plan.bits_reused += live * g.seg;
-          std::uint64_t products_here = 0;
-          for (std::size_t oc = 0; oc < oc_count; ++oc) {
-            const std::size_t group =
-                static_cast<std::size_t>(ph) * oc_count + oc;
-            ws.skipped += gated[group];
-            const SignEntry* ent = entry_base + group_off[group];
-            const std::size_t n_ent = group_count[group];
-            std::uint64_t products = 0;
-            std::int64_t ones = 0;
-            if (seg_words == 1) {
-              std::uint64_t acc = 0;
-              for (std::size_t ei = 0; ei < n_ent; ++ei) {
-                const std::uint64_t* act = ws.act_lane[ent[ei].slot];
-                if (act == nullptr) {
-                  ++ws.skipped;
-                  continue;
-                }
-                acc |= act[slot_off] & ent[ei].lane[slot_off];
-                ++products;
-              }
-              ones = static_cast<std::int64_t>(std::popcount(acc));
-            } else {
-              // Find the last live entry so the chain's final AND/OR can
-              // fuse the counter read into the same kernel pass; trailing
-              // dead slots are charged as skipped exactly as the forward
-              // scan would charge them.
-              std::size_t last = n_ent;
-              while (last > 0 &&
-                     ws.act_lane[ent[last - 1].slot] == nullptr) {
-                ++ws.skipped;
-                --last;
-              }
-              if (last != 0) {
-                std::uint64_t* acc = ws.or_acc.data();
-                std::fill_n(acc, seg_words, std::uint64_t{0});
-                for (std::size_t ei = 0; ei + 1 < last; ++ei) {
-                  const std::uint64_t* act = ws.act_lane[ent[ei].slot];
-                  if (act == nullptr) {
-                    ++ws.skipped;
-                    continue;
-                  }
-                  kt.and_or(acc, act + slot_off, ent[ei].lane + slot_off,
-                            seg_words);
-                  ++products;
-                }
-                const std::uint64_t* act = ws.act_lane[ent[last - 1].slot];
-                ones = static_cast<std::int64_t>(kt.and_or_popcount(
-                    acc, act + slot_off, ent[last - 1].lane + slot_off,
-                    seg_words));
-                ++products;
-              }
-            }
-            if (products != 0) {
-              ws.counters[oc] += positive ? ones : -ones;
-            }
-            products_here += products;
-          }
-          ws.product_bits += products_here * g.seg;
-          ws.plan.plan_hits += products_here;
-          ws.plan.bits_reused += products_here * g.seg;
-        }
-      }
-      for (std::size_t oc = 0; oc < oc_count; ++oc) {
-        out.at(py, px, static_cast<int>(oc)) =
-            static_cast<float>(static_cast<double>(ws.counters[oc]) /
-                               g.counted_bits) +
-            bias[oc];
-      }
-    }
-  };
-
-  // Generic row body: taken when a plan exceeded its byte budget. fetch()
-  // serves planned lanes and regenerates the rest on the fly (counted as
-  // plan misses); the served bits are identical either way.
-  const auto run_row_generic = [&](std::size_t row, unsigned worker) {
-    WorkerState& ws = states[worker];
-    const int py = static_cast<int>(row);
-    for (int px = 0; px < g.out_shape.w; ++px) {
-      for (auto& c : ws.counters) {
-        c = 0;
-      }
-      for (int k = 0; k < static_cast<int>(g.window_positions); ++k) {
-        const int oy = py * g.pool + k / g.pool;
-        const int ox = px * g.pool + k % g.pool;
-        const std::size_t rf_size =
-            gather_rf(spec, input, act_levels.data(), oy, ox,
-                      ws.rf_weight_lane.data(), ws.rf_act_index.data(),
-                      ws.rf_live.data());
-        for (int ph = 0; ph < 2; ++ph) {
-          const bool positive = ph == 0;
-          const auto kk = static_cast<std::size_t>(k);
-          for (std::size_t s = 0; s < rf_size; ++s) {
-            if (ws.rf_live[s]) {
-              const std::size_t ai = ws.rf_act_index[s];
-              ws.act_seg[s] = act_plan.fetch(
-                  ai, act_levels[ai], positive, kk,
-                  {ws.act_scratch.data() + s * seg_words, seg_words},
-                  ws.plan);
-            }
-          }
-          for (std::size_t oc = 0; oc < oc_count; ++oc) {
-            std::fill_n(ws.or_acc.data(), seg_words, std::uint64_t{0});
-            bool any = false;
-            for (std::size_t s = 0; s < rf_size; ++s) {
-              const std::size_t wi =
-                  weight_slot(g, oc, ws.rf_weight_lane[s]);
-              if (wi == kNoWeight) {
-                continue;  // grouped conv: no weight connects this pair
-              }
-              const float wv = weights[wi];
-              const bool active_here = positive ? (wv > 0.0f) : (wv < 0.0f);
-              if (!active_here) {
-                continue;  // scheduled in the other sign phase
-              }
-              if (!ws.rf_live[s] || wgt_levels[wi] == 0) {
-                ++ws.skipped;
-                continue;
-              }
-              const std::uint64_t* wgt_words = wgt_plan.fetch(
-                  wi, wgt_levels[wi], positive, kk,
-                  {ws.wgt_scratch.data(), seg_words}, ws.plan);
-              kt.and_or(ws.or_acc.data(), ws.act_seg[s], wgt_words,
-                        seg_words);
-              any = true;
-              ws.product_bits += g.seg;
-            }
-            if (any) {
-              const std::int64_t ones =
-                  popcount_acc(ws.or_acc.data(), seg_words);
-              ws.counters[oc] += positive ? ones : -ones;
-            }
-          }
-        }
-      }
-      for (std::size_t oc = 0; oc < oc_count; ++oc) {
-        out.at(py, px, static_cast<int>(oc)) =
-            static_cast<float>(static_cast<double>(ws.counters[oc]) /
-                               g.counted_bits) +
-            bias[oc];
-      }
-    }
-  };
-
+  const ConvRows rows{g,     op.conv->spec(), input,    act_levels,
+                      *stage.act_plan, act_bank, tbl, wgt_plans_->bank(),
+                      bias,  out};
   const auto run_row = [&](std::size_t row, unsigned worker) {
-    if (fast1) {
-      run_row_fast1(row, worker);
-    } else if (fast) {
-      run_row_fast(row, worker);
+    if (words == 1) {
+      conv_row<1>(rows, row, states[worker]);
     } else {
-      run_row_generic(row, worker);
+      conv_row<0>(rows, row, states[worker]);
     }
   };
   if (pool != nullptr) {
@@ -1214,7 +880,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   }
 
   run.stream_bits_generated += build_counters.bits_generated;
-  for (const WorkerState& ws : states) {
+  for (const ConvWorker& ws : states) {
     run.product_bits += ws.product_bits;
     run.skipped_operands += ws.skipped;
     run.stream_bits_generated += ws.plan.bits_generated;
@@ -1292,26 +958,22 @@ void ScNetwork::run_dense(const LoweredOp& op, std::size_t op_idx,
   const std::size_t words = word_count(phase);
   const sc::kernels::KernelTable& kt = sc::kernels::table();
 
-  // The shared member banks serve both exec modes: bank content is a pure
+  // The shared banks serve both exec modes: bank content is a pure
   // function of (width, seed, length, wiring), so they are bit-identical
-  // to the per-call locals the seed constructed here.
+  // to per-call locals.
   StreamBank& act_bank = activation_bank();
-  StreamBank& wgt_bank = weight_bank();
+  const StreamBank& wgt_bank = wgt_plans_->bank();
 
   const auto n_in = static_cast<std::size_t>(spec.in_features);
+  const auto n_out = static_cast<std::size_t>(spec.out_features);
   const std::span<std::uint32_t> act_levels =
       arena_.alloc<std::uint32_t>(input.size());
   quantize_activations_into(act_bank, input, act_levels);
   const auto weights = dense.weights();
-  // Quantize every weight level once per layer (not per (output, input)
-  // pair), and only when the live weights changed since the last image.
-  StageScratch& stage_scratch = stage_scratch_[op_idx];
-  bool wgt_refreshed = false;
-  const std::span<const std::uint32_t> wgt_levels = cached_weight_levels(
-      stage_scratch, wgt_bank, weights, wgt_refreshed);
 
   // Activation streams are shared by every output: generate once per
-  // phase, into one arena block laid out [lane][sign][words].
+  // phase, into one arena block laid out [lane][sign][words] (zero words
+  // for dead inputs).
   std::uint64_t act_bits_generated = 0;
   const std::span<std::uint64_t> act_streams =
       arena_.alloc<std::uint64_t>(n_in * 2 * words);
@@ -1327,54 +989,92 @@ void ScNetwork::run_dense(const LoweredOp& op, std::size_t op_idx,
   }
 
   out.resize(nn::Shape{1, 1, spec.out_features});
-  runtime::ThreadPool* pool =
-      intra_pool(static_cast<std::size_t>(spec.out_features) * n_in * words);
+  runtime::ThreadPool* pool = intra_pool(n_out * n_in * words);
   const unsigned workers = pool != nullptr ? pool->size() : 1u;
 
-  // Planned mode serves weight phases from the cached per-stage plan
-  // (positions == 1: one full-phase slot per sign) instead of regenerating
-  // phase bits per product. Each dense weight is used once per image, so
-  // the reuse is across images; the served bits are identical to a fill.
-  std::shared_ptr<const LayerStreamPlan> wgt_plan_ptr;
-  const LayerStreamPlan* wgt_plan = nullptr;
-  const bool planned_mode = cfg_.exec == ExecMode::kPlanned;
-  if (planned_mode) {
-    const SegmentSchedule dsched{phase, 1, phase};
-    wgt_plan_ptr = weight_plan(op_idx, dsched, wgt_levels, pool);
-    if (wgt_plan_ptr->enabled()) {
-      wgt_plan = wgt_plan_ptr.get();
-    }
-  }
+  // Planned mode reads the stage's product table (positions == 1: one
+  // full-phase slot per sign). Each dense weight is used once per image,
+  // so the reuse is across images; the served bits equal a fill.
+  const bool planned = cfg_.exec == ExecMode::kPlanned;
+  const ProductTable* tbl =
+      planned ? &weight_table(op_idx, weights, SegmentSchedule{phase, 1, phase},
+                              WeightMap::dense(n_out, n_in), pool)
+              : nullptr;
+  // The scalar oracle regenerates every weight segment at its use.
+  const std::vector<std::uint32_t> wgt_levels =
+      planned ? std::vector<std::uint32_t>{}
+              : quantize_weights(wgt_bank, weights);
 
   // Per-worker scratch + additive accounting; out[o] writes are disjoint,
   // so sharding output neurons is bit-identical to the serial loop.
   struct WorkerState {
-    std::span<std::uint64_t> wgt_stream;
+    std::span<std::uint64_t> wgt_stream;  ///< scalar fill / over-budget tile
     std::span<std::uint64_t> or_acc;
     std::uint64_t product_bits = 0;
     std::uint64_t skipped = 0;
-    std::uint64_t bits_generated = 0;
     StreamPlanCounters plan;
   };
   const std::span<WorkerState> states = arena_.alloc<WorkerState>(workers);
+  // The scalar oracle fills one weight segment at a time; an over-budget
+  // table fills a whole group (up to n_in entries) before each chain.
+  std::size_t wgt_words = 0;
+  if (!planned) {
+    wgt_words = words;
+  } else if (!tbl->has_words) {
+    wgt_words = n_in * words;
+  }
   for (WorkerState& ws : states) {
-    ws.wgt_stream = arena_.alloc<std::uint64_t>(words);
+    ws.wgt_stream = arena_.alloc<std::uint64_t>(wgt_words);
     ws.or_acc = arena_.alloc<std::uint64_t>(words);
   }
 
-  const auto run_output = [&](std::size_t o, unsigned worker) {
+  const auto run_output_planned = [&](std::size_t o, unsigned worker) {
+    WorkerState& ws = states[worker];
+    std::int64_t counter = 0;
+    for (std::size_t ph = 0; ph < 2; ++ph) {
+      const std::size_t group = ph * n_out + o;
+      const std::size_t off = tbl->group_off[group];
+      const std::size_t n = tbl->group_off[group + 1] - off;
+      const std::uint32_t* inputs = tbl->slot_of.data() + off;
+      std::uint64_t products = 0;
+      for (std::size_t e = 0; e < n; ++e) {
+        products += act_levels[inputs[e]] != 0 ? 1u : 0u;
+      }
+      ws.skipped += tbl->gated[group] + (n - products);
+      if (products == 0) {
+        continue;
+      }
+      const std::uint64_t* wgt;
+      if (tbl->has_words) {
+        wgt = tbl->group_words(ph, group);
+        ws.plan.plan_hits += products;
+        ws.plan.bits_reused += products * phase;
+      } else {
+        wgt = fill_group_words(
+            *tbl, wgt_bank, ph, group,
+            [&](std::uint32_t i) { return act_levels[i] != 0; },
+            ws.wgt_stream.data());
+        ws.plan.plan_misses += products;
+        ws.plan.bits_generated += products * phase;
+      }
+      const std::uint64_t* act = act_streams.data() + ph * words;
+      const std::int64_t ones =
+          words == 1 ? or_chain<1>(act, 2, inputs, wgt, n, 1, nullptr)
+                     : or_chain<0>(act, 2 * words, inputs, wgt, n, words,
+                                   ws.or_acc.data());
+      ws.product_bits += products * phase;
+      counter += ph == 0 ? ones : -ones;
+    }
+    out[o] = static_cast<float>(static_cast<double>(counter) /
+                                static_cast<double>(phase));
+  };
+
+  const auto run_output_scalar = [&](std::size_t o, unsigned worker) {
     WorkerState& ws = states[worker];
     std::int64_t counter = 0;
     for (int ph = 0; ph < 2; ++ph) {
       const bool positive = ph == 0;
-      const std::size_t offset = positive ? 0 : phase;
-      const std::size_t sign_off = positive ? 0 : words;
-      // One-word phases (stream_length <= 128) accumulate in a register;
-      // wider phases run the dispatched and_or / popcount kernels.
-      std::uint64_t acc1 = 0;
-      if (words != 1) {
-        std::fill_n(ws.or_acc.data(), words, std::uint64_t{0});
-      }
+      std::fill_n(ws.or_acc.data(), words, std::uint64_t{0});
       bool any = false;
       for (std::size_t i = 0; i < n_in; ++i) {
         const std::size_t wi =
@@ -1388,37 +1088,18 @@ void ScNetwork::run_dense(const LoweredOp& op, std::size_t op_idx,
           ++ws.skipped;  // operand-gated: zero input or zero weight
           continue;
         }
-        const std::uint64_t* wgt_words;
-        if (wgt_plan != nullptr) {
-          wgt_words = wgt_plan->lane_words(wi) + sign_off;
-          ++ws.plan.plan_hits;
-          ws.plan.bits_reused += phase;
-        } else {
-          wgt_bank.fill(wgt_levels[wi], static_cast<std::uint32_t>(wi),
-                        offset, phase, ws.wgt_stream);
-          wgt_words = ws.wgt_stream.data();
-          if (planned_mode) {
-            ++ws.plan.plan_misses;  // plan over budget: on-the-fly fallback
-            ws.plan.bits_generated += phase;
-          } else {
-            ws.bits_generated += phase;
-          }
-        }
-        const std::uint64_t* act =
-            act_streams.data() + i * 2 * words + sign_off;
-        if (words == 1) {
-          acc1 |= act[0] & wgt_words[0];
-        } else {
-          kt.and_or(ws.or_acc.data(), act, wgt_words, words);
-        }
+        wgt_bank.fill(wgt_levels[wi], static_cast<std::uint32_t>(wi),
+                      positive ? 0 : phase, phase, ws.wgt_stream);
+        ws.plan.bits_generated += phase;
+        kt.and_or(ws.or_acc.data(),
+                  act_streams.data() + i * 2 * words + (positive ? 0 : words),
+                  ws.wgt_stream.data(), words);
         any = true;
         ws.product_bits += phase;
       }
       if (any) {
-        const std::int64_t ones =
-            words == 1 ? static_cast<std::int64_t>(std::popcount(acc1))
-                       : static_cast<std::int64_t>(
-                             kt.popcount_words(ws.or_acc.data(), words));
+        const auto ones = static_cast<std::int64_t>(
+            kt.popcount_words(ws.or_acc.data(), words));
         counter += positive ? ones : -ones;
       }
     }
@@ -1426,12 +1107,18 @@ void ScNetwork::run_dense(const LoweredOp& op, std::size_t op_idx,
                                 static_cast<double>(phase));
   };
 
+  const auto run_output = [&](std::size_t o, unsigned worker) {
+    if (planned) {
+      run_output_planned(o, worker);
+    } else {
+      run_output_scalar(o, worker);
+    }
+  };
   if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(spec.out_features),
-                       run_output);
+    pool->parallel_for(n_out, run_output);
   } else {
-    for (int o = 0; o < spec.out_features; ++o) {
-      run_output(static_cast<std::size_t>(o), 0);
+    for (std::size_t o = 0; o < n_out; ++o) {
+      run_output(o, 0);
     }
   }
 
@@ -1439,7 +1126,7 @@ void ScNetwork::run_dense(const LoweredOp& op, std::size_t op_idx,
   for (const WorkerState& ws : states) {
     run.product_bits += ws.product_bits;
     run.skipped_operands += ws.skipped;
-    run.stream_bits_generated += ws.bits_generated + ws.plan.bits_generated;
+    run.stream_bits_generated += ws.plan.bits_generated;
     run.stream_bits_reused += ws.plan.bits_reused;
     run.plan_hits += ws.plan.plan_hits;
     run.plan_misses += ws.plan.plan_misses;
@@ -1448,153 +1135,28 @@ void ScNetwork::run_dense(const LoweredOp& op, std::size_t op_idx,
 
 core::Report ScNetwork::validate_plans() {
   core::Report report;
-  if (cfg_.exec != ExecMode::kPlanned) {
-    return report;  // scalar mode builds no plans; nothing to validate
-  }
   const std::size_t phase = cfg_.phase_length();
-  const std::size_t bank_length = 2 * phase;
   for (std::size_t s = 0; s < ops_.size(); ++s) {
     const LoweredOp& op = ops_[s];
-    StageScratch& scratch = stage_scratch_[s];
-    // Nodes that are unweighted or never executed have no cached levels
-    // (and no plans); skip them rather than force a build the run never
+    const StageScratch& stage = stage_scratch_[s];
+    // Unweighted nodes, scalar-mode runs and stages that never executed
+    // hold no table; skip them rather than force a build the run never
     // exercised.
-    if (!op.weighted() || scratch.wgt_levels.empty()) {
+    if (!op.weighted() || stage.table == nullptr) {
       continue;
     }
     const std::string name = op.layer->name();
-    const SegmentSchedule sched = op.conv != nullptr
-                                      ? scratch.sched
-                                      : SegmentSchedule{phase, 1, phase};
-    if (op.conv != nullptr && scratch.act_plan == nullptr) {
-      continue;  // conv ran scalar / never ran; sched is not meaningful
-    }
-    report.merge(check_schedule(sched, phase, bank_length,
+    const ProductTable& tbl = *stage.table;
+    report.merge(check_schedule(tbl.sched, phase, 2 * phase,
                                 name + "/schedule"));
-    // The store returns the cached plan (the levels vector is the cache
-    // key), so this re-fetch never rebuilds after a forward.
-    const std::shared_ptr<const LayerStreamPlan> plan =
-        weight_plan(s, sched, scratch.wgt_levels, nullptr);
-    report.merge(check_plan(*plan, weight_bank(), sched, scratch.wgt_levels,
-                            name + "/weight-plan"));
-
-    // ProductTable consistency: re-derive the (sign phase, output channel)
-    // classification from the live weights — BN-folded, exactly as the
-    // executor classifies them — and compare every derived field. Valid
-    // right after a forward; a retrain in between legitimately invalidates
-    // the table (it is rebuilt lazily on the next forward), so callers are
-    // documented to validate before mutating weights.
-    const StageScratch::ProductTable& tbl = scratch.products;
-    if (op.conv == nullptr || !tbl.built || !(tbl.sched == sched) ||
-        !plan->enabled()) {
-      continue;
-    }
-    const auto& spec = op.conv->spec();
+    // Check against the live weights — BN-folded, exactly as the executor
+    // reads them — so a table served for another clone's weights, or a
+    // stale one, cannot pass.
     std::vector<float> folded;
-    const std::span<const float> weights = node_weights(op, folded);
-    const std::size_t rf_max = static_cast<std::size_t>(spec.kernel) *
-                               spec.kernel * spec.in_channels;
-    // Grouped weight mapping, identical to the executor's weight_slot.
-    ConvGeometry wg;
-    wg.in_c = static_cast<std::size_t>(spec.in_channels);
-    wg.cpg = static_cast<std::size_t>(spec.in_channels / spec.groups);
-    wg.oc_per_group =
-        static_cast<std::size_t>(spec.out_channels / spec.groups);
-    wg.w_per_oc =
-        static_cast<std::size_t>(spec.kernel) * spec.kernel * wg.cpg;
-    const auto oc_count = static_cast<std::size_t>(spec.out_channels);
-    const std::size_t groups = 2 * oc_count;
-    const std::size_t slots = sched.slots();
-    const std::string tpath = name + "/product-table";
-    if (tbl.group_count.size() != groups ||
-        tbl.group_off.size() != groups + 1 ||
-        tbl.group_off[groups] != tbl.total ||
-        tbl.slot_of.size() != tbl.total ||
-        tbl.wgt_w.size() != slots * tbl.total ||
-        tbl.bm_words != (rf_max + 63) / 64 ||
-        tbl.group_bm.size() != groups * tbl.bm_words) {
-      report.add("plan-invariant", core::Severity::kError, tpath,
-                 "table extents are inconsistent with the layer geometry (" +
-                     std::to_string(groups) + " groups, rf " +
-                     std::to_string(rf_max) + ")");
-      continue;
-    }
-    std::vector<std::uint32_t> cursor(tbl.group_off.begin(),
-                                      tbl.group_off.end() - 1);
-    std::size_t mismatches = 0;
-    const auto flag = [&](const std::string& msg) {
-      if (++mismatches <= 4) {  // cap per-layer noise; the count is summarized
-        report.add("plan-invariant", core::Severity::kError, tpath, msg);
-      }
-    };
-    for (std::size_t oc = 0; oc < oc_count; ++oc) {
-      for (std::size_t slot = 0; slot < rf_max; ++slot) {
-        const std::size_t wi = weight_slot(wg, oc, slot);
-        if (wi == kNoWeight) {
-          // Cross-group slot: no weight exists; must be absent everywhere.
-          for (std::size_t gi : {oc, oc_count + oc}) {
-            if (((tbl.group_bm[gi * tbl.bm_words + slot / 64] >>
-                  (slot % 64)) &
-                 1u) != 0) {
-              flag("cross-group slot " + std::to_string(slot) +
-                   " of output channel " + std::to_string(oc) +
-                   " is present in the group bitmap");
-            }
-          }
-          continue;
-        }
-        const float wv = weights[wi];
-        const bool signed_live = (wv > 0.0f) || (wv < 0.0f);
-        const std::size_t group = (wv > 0.0f ? 0 : 1) * oc_count + oc;
-        const bool in_bm =
-            signed_live &&
-            ((tbl.group_bm[group * tbl.bm_words + slot / 64] >>
-              (slot % 64)) &
-             1u) != 0;
-        const bool expect_entry = signed_live && scratch.wgt_levels[wi] != 0;
-        if (in_bm != expect_entry) {
-          flag("slot " + std::to_string(slot) + " of output channel " +
-               std::to_string(oc) + (expect_entry
-                                         ? " is live but missing from"
-                                         : " is gated but present in") +
-               " the group bitmap");
-          continue;
-        }
-        if (!expect_entry) {
-          continue;
-        }
-        const std::uint32_t ei = cursor[group]++;
-        if (ei >= tbl.group_off[group + 1] || tbl.slot_of[ei] != slot) {
-          flag("entry order for output channel " + std::to_string(oc) +
-               " slot " + std::to_string(slot) +
-               " disagrees with the oc-major fill order");
-          continue;
-        }
-        const std::uint64_t* lane = plan->lane_words(wi);
-        for (std::size_t si = 0; si < slots; ++si) {
-          if (tbl.wgt_w[si * tbl.total + ei] != lane[si]) {
-            flag("transposed weight words for output channel " +
-                 std::to_string(oc) + " slot " + std::to_string(slot) +
-                 " differ from the weight plan");
-            break;
-          }
-        }
-      }
-    }
-    for (std::size_t gi = 0; gi < groups; ++gi) {
-      if (cursor[gi] != tbl.group_off[gi + 1]) {
-        flag("group " + std::to_string(gi) + " holds " +
-             std::to_string(tbl.group_off[gi + 1] - tbl.group_off[gi]) +
-             " entries but the live weights produce " +
-             std::to_string(cursor[gi] - tbl.group_off[gi]));
-      }
-    }
-    if (mismatches > 4) {
-      report.add("plan-invariant", core::Severity::kError, tpath,
-                 std::to_string(mismatches) +
-                     " total mismatches against the live weights (first 4 "
-                     "shown)");
-    }
+    const std::span<const float> weights =
+        op.dense != nullptr ? op.dense->weights() : node_weights(op, folded);
+    report.merge(check_product_table(tbl, wgt_plans_->bank(), weights,
+                                     name + "/product-table"));
   }
   return report;
 }

@@ -27,6 +27,12 @@
 // stream/p^2 time slice and the window's counter accumulates across slices
 // (stream concatenation). The simulator counts product-bit operations so
 // the 4x-9x computation reduction is measurable.
+//
+// The planned executor (the default) reads each weighted stage's weight
+// side from one immutable ProductTable shared by every clone through a
+// WeightPlanStore (sim/stream_plan.hpp), and runs every conv row through
+// one body templated on the segment width. ExecMode::kScalar regenerates
+// every segment at its point of use and is the bit-exact oracle.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +67,10 @@ class ScNetwork {
             std::shared_ptr<WeightPlanStore> shared = nullptr);
 
   /// The weight-plan store this executor draws from. Pass it to the
-  /// ScNetwork of a clone so the per-stage weight plans are built once
-  /// across all workers (the store is thread-safe; plan content is a pure
-  /// function of config + weight levels, so sharing cannot change bits).
+  /// ScNetwork of a clone (built with the same config) so each stage's
+  /// product table is built once across all workers. The store is
+  /// thread-safe, and a table is a pure function of the config, schedule
+  /// and weight codes, so sharing cannot change bits.
   [[nodiscard]] const std::shared_ptr<WeightPlanStore>& shared_plans()
       const noexcept {
     return wgt_plans_;
@@ -143,16 +150,15 @@ class ScNetwork {
 
   [[nodiscard]] const ScConfig& config() const noexcept { return cfg_; }
 
-  /// Plan-invariant verification (rule "plan-invariant"): re-derives the
-  /// invariants of every plan built so far — segment-schedule slot
-  /// coverage and word-offset bounds (sim/plan_check), weight-plan
-  /// segments bit-identical to regeneration, and ProductTable consistency
-  /// with the live weights' sign/oc classification (group prefix sums,
-  /// slot lists, bitmap popcounts, transposed word table extents). Run at
-  /// least one forward() first so the plans exist; stages that have not
-  /// executed yet are skipped. Findings anchor at "<layer name>/...".
-  /// Debug builds additionally assert the ProductTable invariants right
-  /// after each rebuild, so the golden suite exercises them implicitly.
+  /// Plan-invariant verification (rule "plan-invariant"): for every stage
+  /// that has executed, checks the schedule's slot coverage and word-offset
+  /// bounds, and re-derives the held ProductTable from the live weights'
+  /// sign phases and levels — extents, group prefix sums, gated counts,
+  /// slot lists, bitmaps, and sampled entry words against regeneration
+  /// (sim/plan_check). Run at least one forward() first; stages that have
+  /// not executed are skipped, and a retrain in between legitimately
+  /// reports the stale table. Findings anchor at "<layer name>/...". The
+  /// store runs the same table checker after every build in debug builds.
   [[nodiscard]] core::Report validate_plans();
 
   /// Enables per-stage profiling: every forward() records one
@@ -168,47 +174,23 @@ class ScNetwork {
   }
 
  private:
-  /// Per-stage reusable executor state: the activation stream plan is a
+  /// Per-stage reusable executor state. The activation stream plan is a
   /// per-image table, but its allocation depends only on (lanes, schedule)
   /// — fixed across images of one evaluation — so the plan object is kept
   /// and rebuilt in place (build() overwrites every lane).
   struct StageScratch {
     std::unique_ptr<LayerStreamPlan> act_plan;
-    std::size_t lanes = 0;
-    SegmentSchedule sched;
-    /// Quantized weight magnitudes, valid while the stage's float weights
-    /// are bit-identical to wgt_src (quantization is a pure function, so
-    /// bitwise-equal inputs give equal levels). The memcmp guard keeps the
-    /// "weights are read live" contract — retraining between forwards is
-    /// picked up — while skipping thousands of quantize calls per image.
-    /// For a conv with a folded BatchNorm, wgt_src holds the FOLDED
-    /// weights (w * scale(oc)), so BN retraining invalidates the cache
-    /// exactly like conv retraining does.
-    std::vector<float> wgt_src;
-    std::vector<std::uint32_t> wgt_levels;
+    /// The stage's shared product table. Each forward memcmps the live
+    /// weights against the floats it encodes — for a conv with a folded
+    /// BatchNorm, the FOLDED weights (w * scale(oc)), so BN retraining
+    /// refreshes it exactly like conv retraining does. The guard keeps the
+    /// "weights are read live" contract while skipping thousands of
+    /// quantize calls per image.
+    std::shared_ptr<const ProductTable> table;
     /// Folded-weight staging buffer (conv nodes with an absorbed
     /// BatchNorm): recomputed every forward — one multiply per weight —
     /// into retained capacity, so steady state stays allocation-free.
     std::vector<float> folded;
-    /// Branchless product table for the single-word-segment fast path:
-    /// weights grouped by (sign phase, output channel), each group's slot
-    /// indices, its per-slot-index weight words transposed for sequential
-    /// loads, and a slot bitmap so live-product counts come from popcounts
-    /// instead of per-entry branches. Rebuilt with wgt_levels (it is a
-    /// pure function of the weights, the schedule and the weight plan).
-    struct ProductTable {
-      SegmentSchedule sched;
-      std::vector<std::uint32_t> group_count;  ///< entries per group
-      std::vector<std::uint32_t> gated;        ///< always-skipped per group
-      std::vector<std::uint32_t> group_off;    ///< exclusive prefix sums
-      std::vector<std::uint32_t> slot_of;      ///< entry -> rf / input slot
-      std::vector<std::uint64_t> wgt_w;        ///< [slot_index][entry] words
-      std::vector<std::uint64_t> group_bm;     ///< [group][word] slot bitmap
-      std::size_t total = 0;                   ///< entries across all groups
-      std::size_t bm_words = 0;
-      bool built = false;
-    };
-    ProductTable products;
   };
 
   void run_conv(const LoweredOp& op, std::size_t op_idx,
@@ -241,31 +223,23 @@ class ScNetwork {
   /// private pool_ below is only created for direct forward() callers.
   [[nodiscard]] runtime::ThreadPool* intra_pool(std::size_t work_words);
 
-  /// Shared SNG banks for the planned path. A bank's content is a pure
-  /// function of the config, so one activation bank and one weight bank
-  /// serve every stage (the scalar oracle keeps constructing per-layer
-  /// banks with identical content).
+  /// Shared activation SNG bank for the planned path. A bank's content is
+  /// a pure function of the config, so one bank serves every stage (the
+  /// scalar oracle keeps constructing per-layer banks with identical
+  /// content). The weight bank is the store's: wgt_plans_->bank().
   [[nodiscard]] StreamBank& activation_bank();
-  [[nodiscard]] StreamBank& weight_bank();
 
-  /// Per-stage weight stream plan from the shared store, (re)built only
-  /// when the quantized weight levels changed — they are identical for
-  /// every image, so across a whole evaluation each stage builds once.
-  /// Sign scheduling is re-derived from the live weights on every call
-  /// regardless, so the "weights are read live" contract holds. The
-  /// build's kernel bits are amortized capital cost and excluded from
+  /// The stage's product table from the shared store. A clone goes back to
+  /// the store only when @p weights differ bitwise from the ones its held
+  /// table encodes (retraining) or the schedule changed (a new input
+  /// size), so across a whole evaluation each stage builds once.
+  /// The build's kernel bits are amortized capital cost and excluded from
   /// per-run stats (stats stay a pure function of the sample set).
-  [[nodiscard]] std::shared_ptr<const LayerStreamPlan> weight_plan(
-      std::size_t stage_idx, const SegmentSchedule& sched,
-      std::span<const std::uint32_t> levels, runtime::ThreadPool* pool);
-
-  /// The stage's quantized weight levels, re-quantized only when the live
-  /// float weights changed since the last forward (see
-  /// StageScratch::wgt_src). Sets @p refreshed when a re-quantization
-  /// happened, which invalidates the stage's cached ProductTable.
-  [[nodiscard]] std::span<const std::uint32_t> cached_weight_levels(
-      StageScratch& scratch, const StreamBank& bank,
-      std::span<const float> weights, bool& refreshed);
+  [[nodiscard]] const ProductTable& weight_table(std::size_t stage_idx,
+                                                 std::span<const float> weights,
+                                                 const SegmentSchedule& sched,
+                                                 const WeightMap& map,
+                                                 runtime::ThreadPool* pool);
 
   nn::Network* net_;
   ScConfig cfg_;
@@ -288,7 +262,6 @@ class ScNetwork {
   /// benches); see intra_pool().
   std::unique_ptr<runtime::ThreadPool> pool_;
   std::unique_ptr<StreamBank> act_bank_;
-  std::unique_ptr<StreamBank> wgt_bank_;
   std::shared_ptr<WeightPlanStore> wgt_plans_;
   obs::Profiler* profiler_ = nullptr;
   std::uint32_t track_ = 0;

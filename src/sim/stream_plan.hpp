@@ -13,12 +13,20 @@
 // regenerates. Plans are pure functions of (bank, schedule, levels), so
 // serving a planned segment is bit-identical to regenerating it — the
 // golden equivalence suite (tests/sim/sc_golden_test.cpp) pins that down.
+// The executor uses one per stage for the activations, rebuilt per image.
 //
-// Memory is bounded: a plan whose table would exceed its byte budget
-// disables itself, and every fetch falls back to on-the-fly generation
-// (counted as a plan miss). Both paths produce identical bits.
+// The weight side is a ProductTable: the same segments for every live
+// weight, grouped by (sign phase, output) in the order the datapath reads
+// them, built once per stage and shared read-only by every executor clone
+// through a WeightPlanStore.
+//
+// Memory is bounded: a table that would exceed its byte budget is not
+// materialized, and the executor generates those segments on the fly
+// (counted as plan misses). Both paths produce identical bits.
 #pragma once
 
+#include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -79,15 +87,16 @@ struct StreamPlanCounters {
 
 /// Per-layer table of precomputed stream segments for a dense lane id
 /// space (weight index or activation index). Thread-safety: build() must
-/// complete before concurrent fetch()/segment() calls; after that the plan
-/// is read-only and safe to share across row workers.
+/// complete before concurrent reads; after that the plan is read-only and
+/// safe to share across row workers.
 class LayerStreamPlan {
  public:
   /// @param bank   the SNG bank the lanes draw from; must outlive the plan.
   /// @param sched  the layer's segment timetable.
   /// @param lanes  size of the dense lane id space.
-  /// @param budget_bytes table budget; a plan that would exceed it disables
-  ///        itself (every fetch becomes an on-the-fly miss). 0 = unlimited.
+  /// @param budget_bytes table budget; a plan whose plan_table_bytes()
+  ///        exceeds it disables itself (the caller generates its segments
+  ///        on the fly). 0 = unlimited.
   LayerStreamPlan(const StreamBank& bank, const SegmentSchedule& sched,
                   std::size_t lanes, std::size_t budget_bytes);
 
@@ -107,15 +116,6 @@ class LayerStreamPlan {
     return enabled_ && built_[lane] != 0;
   }
 
-  /// The packed segment of (lane, positive, k). Serves the plan entry when
-  /// planned(lane); otherwise regenerates the segment into @p scratch
-  /// (seg_words() words, overwritten). Counters record which path ran.
-  [[nodiscard]] const std::uint64_t* fetch(std::size_t lane,
-                                           std::uint32_t level, bool positive,
-                                           std::size_t k,
-                                           std::span<std::uint64_t> scratch,
-                                           StreamPlanCounters& counters) const;
-
   /// Planned-entry accessor. Precondition: planned(lane).
   [[nodiscard]] const std::uint64_t* segment(std::size_t lane, bool positive,
                                              std::size_t k) const noexcept {
@@ -124,17 +124,16 @@ class LayerStreamPlan {
 
   /// First packed word of @p lane's slot table — the hot-loop entry point:
   /// callers hoist this base pointer and index slots as
-  /// `lane_words(lane)[slot_index * seg_words() + w]`, skipping the fetch()
-  /// call (and its per-segment counter writes) entirely.
+  /// `lane_words(lane)[slot_index * seg_words() + w]`.
   /// Precondition: planned(lane).
   [[nodiscard]] const std::uint64_t* lane_words(std::size_t lane) const noexcept {
     return words_.data() + lane * sched_.words_per_lane();
   }
 
-  /// Bytes the fully-built table occupies (0 when disabled).
-  [[nodiscard]] std::size_t table_bytes() const noexcept {
-    return enabled_ ? words_.capacity() * sizeof(std::uint64_t) : 0;
+  [[nodiscard]] const SegmentSchedule& schedule() const noexcept {
+    return sched_;
   }
+  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
 
  private:
   const StreamBank* bank_;
@@ -148,42 +147,157 @@ class LayerStreamPlan {
   std::vector<std::uint64_t> build_buf_;
 };
 
-/// Thread-safe store of per-stage weight stream plans, shared by every
-/// clone of an ScNetwork. Weight streams depend only on the quantized
-/// weight levels — identical for every image — so the store builds each
-/// stage's plan exactly once no matter how many evaluator workers run:
-/// the totals stay thread-count invariant and clones after the first get
-/// the table for free. The store owns the weight SNG bank the plans draw
-/// from, so a handed-out plan never outlives its bank.
+/// Maps (output, receptive-field slot) to the weight that connects them. A
+/// conv's slots are its kernel x kernel x in_channels gather positions,
+/// and a grouped conv leaves cross-group pairs unconnected. A dense layer
+/// is the degenerate case of one group whose slots are its inputs.
+struct WeightMap {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  std::size_t outputs = 0;       ///< output channels (dense: neurons)
+  std::size_t slots = 0;         ///< receptive-field slots per output
+  std::size_t in_c = 0;          ///< input channels (dense: inputs)
+  std::size_t cpg = 0;           ///< input channels per group
+  std::size_t oc_per_group = 0;  ///< outputs per group
+  std::size_t w_per_oc = 0;      ///< weights per output
+
+  /// A dense layer's map: weight index o * inputs + i.
+  [[nodiscard]] static WeightMap dense(std::size_t outputs,
+                                       std::size_t inputs) noexcept {
+    return {outputs, inputs, inputs, inputs, outputs, inputs};
+  }
+
+  /// Weight index of (oc, slot), or kNone when the slot's input channel
+  /// lies outside oc's group. Equals oc * slots + slot when ungrouped.
+  [[nodiscard]] std::size_t weight(std::size_t oc,
+                                   std::size_t slot) const noexcept {
+    const std::size_t ic = slot % in_c;
+    const std::size_t rel = ic - (oc / oc_per_group) * cpg;
+    if (rel >= cpg) {  // unsigned wrap also catches ic < group base
+      return kNone;
+    }
+    return oc * w_per_oc + (slot / in_c) * cpg + rel;
+  }
+
+  bool operator==(const WeightMap&) const = default;
+};
+
+/// One weight's place in the split-unipolar schedule: its quantized
+/// magnitude and the sign phase it counts in. Zero and NaN weights are
+/// active in neither phase (sign 0), exactly like the scalar oracle's
+/// `w > 0` / `w < 0` predicates.
+struct WeightCode {
+  std::uint32_t level = 0;
+  std::int32_t sign = 0;  ///< +1 positive phase, -1 negative, 0 neither
+
+  bool operator==(const WeightCode&) const = default;
+};
+
+/// The code of weight @p w: |w| quantized by @p bank, and its sign phase.
+[[nodiscard]] inline WeightCode weight_code(const StreamBank& bank, float w) {
+  return {bank.quantize(std::fabs(w)), w > 0.0f ? 1 : (w < 0.0f ? -1 : 0)};
+}
+
+/// Bytes of a packed table holding every slot of @p lanes lanes: a
+/// LayerStreamPlan's table, and a ProductTable's words at their worst case
+/// (every weight live). The executor and the static analyzer both budget a
+/// stage with this figure, so a stage falls back to on-the-fly streams
+/// exactly when the analyzer says it does. It depends on the geometry
+/// alone, so retraining never flips the decision.
+[[nodiscard]] inline std::size_t plan_table_bytes(
+    std::size_t lanes, const SegmentSchedule& sched) noexcept {
+  return lanes * sched.words_per_lane() * sizeof(std::uint64_t);
+}
+
+/// True when a table of @p bytes fits @p budget_bytes (0 = unlimited).
+[[nodiscard]] inline bool within_plan_budget(std::size_t bytes,
+                                             std::size_t budget_bytes) noexcept {
+  return budget_bytes == 0 || bytes <= budget_bytes;
+}
+
+/// The immutable weight side of one weighted stage, in the order the
+/// datapath reads it. Weights are grouped by (sign phase, output): group
+/// `ph * outputs + oc`, ph 0 = positive. A group's entries are its live
+/// weights (nonzero sign and level) in slot order; a weight whose sign is
+/// live but whose level quantized to zero is counted in `gated` instead.
+/// Every group's slots are also set in a bitmap, so a row body counts its
+/// live products with popcounts instead of per-entry branches.
 ///
-/// The cache key is the level vector itself: retraining that changes any
-/// level triggers a rebuild; the superseded plan stays alive for readers
-/// still holding it (shared_ptr swap).
+/// `words` holds each entry's stream segments as [slot][entry][word]: the
+/// entries of one group are sequential loads per (phase, window slot).
+/// It stays empty when plan_table_bytes() over all weights exceeds the
+/// plan budget; the executor then fills live entries' words from the bank
+/// on the fly.
+struct ProductTable {
+  SegmentSchedule sched;
+  WeightMap map;
+  /// The float weights the table encodes: the source of its cache key
+  /// (their codes) and of each entry's level.
+  std::vector<float> weights;
+  std::vector<std::uint32_t> group_off;  ///< exclusive prefix, groups + 1
+  std::vector<std::uint32_t> gated;      ///< level-0 weights per group
+  std::vector<std::uint32_t> slot_of;    ///< entry -> receptive-field slot
+  std::vector<std::uint32_t> lane_of;    ///< entry -> weight index (lane)
+  std::vector<std::uint64_t> group_bm;   ///< [group][bm_words] slot bitmap
+  std::vector<std::uint64_t> words;      ///< [slot][entry][word] or empty
+  std::size_t total = 0;                 ///< entries across all groups
+  std::size_t bm_words = 0;
+  bool has_words = false;  ///< words fit the budget and were built
+
+  [[nodiscard]] std::size_t groups() const noexcept { return 2 * map.outputs; }
+  /// First word of @p group's entries at slot index @p slot.
+  /// Precondition: has_words.
+  [[nodiscard]] const std::uint64_t* group_words(
+      std::size_t slot, std::size_t group) const noexcept {
+    return words.data() +
+           (slot * total + group_off[group]) * sched.seg_words();
+  }
+};
+
+/// Thread-safe store of the per-stage product tables, shared by every
+/// clone of an ScNetwork. A table is a pure function of (bank, schedule,
+/// weight map, weight codes), so the store builds each stage's table once
+/// no matter how many evaluator workers run, and clones after the first
+/// get it for free. The store owns the weight SNG bank the tables draw
+/// from, so a handed-out table never outlives its bank.
+///
+/// The cache key is the schedule, the map and the weights' codes: retraining
+/// that changes any weight's level or sign phase, or an input size that
+/// changes the fused pool's schedule, triggers a rebuild; bitwise-equal
+/// weights match with one memcmp. The superseded table stays alive for
+/// readers still holding it (shared_ptr swap).
 class WeightPlanStore {
  public:
   /// @param cfg    bank parameters (width, weight seed, phase, wiring).
-  /// @param stages number of weighted stages (one plan slot each).
+  /// @param stages number of weighted stages (one table slot each).
   WeightPlanStore(const ScConfig& cfg, std::size_t stages);
 
-  /// The plan for @p stage under @p sched and @p levels, building it if
-  /// absent or stale. @p built receives the build's counters ONLY when
-  /// this call performed the build — callers fold it into their stats, so
-  /// the summed accounting records exactly one build. @p pool, when
-  /// non-null, shards the build (held only while this call runs).
-  [[nodiscard]] std::shared_ptr<const LayerStreamPlan> get(
-      std::size_t stage, const SegmentSchedule& sched,
-      std::span<const std::uint32_t> levels, std::size_t budget_bytes,
-      StreamPlanCounters& built, runtime::ThreadPool* pool);
+  /// The table for @p stage under @p sched, @p map and the codes of
+  /// @p weights, building it if absent or keyed differently. The build
+  /// runs under the stage's mutex; @p pool, when non-null, shards its word
+  /// fill.
+  [[nodiscard]] std::shared_ptr<const ProductTable> get(
+      std::size_t stage, const SegmentSchedule& sched, const WeightMap& map,
+      std::span<const float> weights, std::size_t budget_bytes,
+      runtime::ThreadPool* pool);
+
+  /// The weight bank every table draws from.
+  [[nodiscard]] const StreamBank& bank() const noexcept { return bank_; }
+
+  /// Tables built since construction, across all stages.
+  [[nodiscard]] std::uint64_t builds() const noexcept {
+    return builds_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Entry {
     std::mutex mu;
-    std::vector<std::uint32_t> levels;
-    std::shared_ptr<const LayerStreamPlan> plan;
+    std::shared_ptr<const ProductTable> table;
   };
 
   StreamBank bank_;
   std::vector<std::unique_ptr<Entry>> entries_;
+  std::atomic<std::uint64_t> builds_{0};
 };
 
 }  // namespace acoustic::sim

@@ -15,6 +15,7 @@
 #include "nn/model_zoo.hpp"
 #include "nn/network.hpp"
 #include "nn/pool.hpp"
+#include "sim/sc_network.hpp"
 #include "train/models.hpp"
 
 namespace acoustic::analysis {
@@ -401,6 +402,58 @@ TEST(CheckNetwork, ProbeRunsThePlanInvariantValidator) {
   EXPECT_FALSE(with_probe.has_rule("plan-invariant")) << with_probe.to_string();
   EXPECT_FALSE(with_probe.has_rule("sc-lowering-failed"))
       << with_probe.to_string();
+}
+
+TEST(CheckNetwork, GroupedConvSaturationUsesTheGroupFanIn) {
+  // Each output of a groups=2 conv sees kernel^2 * in/groups = 36 inputs;
+  // the estimate must walk exactly those weights (reading in_channels
+  // wide would run past the weight array).
+  nn::Network net;
+  auto& conv = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 8, .out_channels = 4, .kernel = 3, .padding = 1,
+      .groups = 2, .mode = nn::AccumMode::kOrApprox});
+  for (float& w : conv.weights()) {
+    w = 0.5f;
+  }
+  CheckOptions opt;
+  opt.probe = false;
+  const core::Report r = check_network(net, "grouped", {8, 8, 8}, opt);
+  const std::string text = r.to_string();
+  EXPECT_TRUE(r.has_rule("or-saturation")) << text;
+  EXPECT_NE(text.find("36 live products"), std::string::npos) << text;
+}
+
+TEST(CheckNetwork, PlanBudgetNoteMatchesTheExecutorFallback) {
+  // The analyzer and the executor budget a stage's product table with the
+  // same figure: the note must appear exactly when the executor falls back
+  // to on-the-fly weight streams (plan misses). The input is smaller than
+  // the weight set, so the activation plan fits both budgets.
+  nn::Network net;
+  auto& conv = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 2, .out_channels = 4, .kernel = 3, .padding = 1,
+      .mode = nn::AccumMode::kOrApprox});
+  conv.initialize(5);
+  const nn::Shape in{4, 4, 2};
+  nn::Tensor input(in);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = 0.5f;
+  }
+  CheckOptions opt;
+  opt.sc.stream_length = 128;
+  const std::size_t bytes = sim::plan_table_bytes(
+      conv.weights().size(),
+      sim::SegmentSchedule{opt.sc.phase_length(), 1, opt.sc.phase_length()});
+  for (const std::size_t budget : {bytes, bytes - 1}) {
+    opt.sc.plan_budget_bytes = budget;
+    const core::Report r = check_network(net, "conv", in, opt);
+    sim::ScNetwork exec(net, opt.sc);
+    (void)exec.forward(input);
+    const bool over = budget < bytes;
+    EXPECT_EQ(r.has_rule("plan-budget-exceeded"), over)
+        << "budget " << budget << " of " << bytes << ":\n"
+        << r.to_string();
+    EXPECT_EQ(exec.stats().plan_misses > 0, over) << "budget " << budget;
+  }
 }
 
 }  // namespace

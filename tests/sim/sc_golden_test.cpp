@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "core/diagnostics.hpp"
 #include "nn/activation.hpp"
@@ -280,6 +281,77 @@ TEST(ScGolden, PlanBudgetFallbackMatchesScalar) {
   cfg.plan_budget_bytes = 1;
   expect_planned_matches_scalar(net, random_unit(nn::Shape{16, 16, 1}, 131),
                                 cfg);
+}
+
+/// Planned forward of @p exec vs a fresh scalar oracle over @p net.
+void expect_matches_own_oracle(ScNetwork& exec, nn::Network& net,
+                               const nn::Tensor& input,
+                               const std::string& label) {
+  ScConfig scalar_cfg = exec.config();
+  scalar_cfg.exec = ExecMode::kScalar;
+  ScNetwork oracle(net, scalar_cfg);
+  expect_bytes_equal(exec.forward(input), oracle.forward(input), label);
+  const core::Report report = exec.validate_plans();
+  EXPECT_TRUE(report.clean()) << label << ":\n" << report.to_string();
+}
+
+TEST(ScGolden, InputSizeChangeRekeysTheTable) {
+  // A fused 2x2 pool tiles the 8x8 conv output (4 slots per phase) but
+  // not the 7x7 one (the conv runs unfused: 1 slot). One executor sees
+  // both sizes in both orders, so its stage table must follow the
+  // schedule, not just the weights.
+  for (const bool small_first : {false, true}) {
+    nn::Network net;
+    auto& conv = net.add<nn::Conv2D>(nn::ConvSpec{
+        .in_channels = 3, .out_channels = 4, .kernel = 3, .padding = 1,
+        .mode = nn::AccumMode::kOrExact});
+    net.add<nn::AvgPool2D>(2);
+    conv.initialize(71);
+    ScNetwork exec(net, golden_config());
+    const int first = small_first ? 7 : 8;
+    const int second = small_first ? 8 : 7;
+    for (const int side : {first, second, first}) {
+      expect_matches_own_oracle(
+          exec, net,
+          random_unit(nn::Shape{side, side, 3},
+                      static_cast<std::uint32_t>(170 + side)),
+          "side " + std::to_string(side) + " (small first: " +
+              std::to_string(small_first) + ")");
+    }
+  }
+}
+
+TEST(ScGolden, SharedStoreKeysOnSignPhase) {
+  // Two executors over cloned networks share one store. In the second,
+  // one conv weight changes sign at equal magnitude, so the quantized
+  // magnitudes alone cannot tell the two weight sets apart: a table keyed
+  // on them would serve one network's sign schedule to the other. Then a
+  // second weight becomes NaN (active in neither phase) between forwards.
+  nn::Network net = train::build_lenet_small(nn::AccumMode::kOrExact);
+  nn::Network other = net.clone();
+  std::span<float> w;
+  for (std::size_t i = 0; i < other.layer_count() && w.empty(); ++i) {
+    if (other.layer(i).kind() == nn::Layer::Kind::kConv2D) {
+      w = static_cast<nn::Conv2D&>(other.layer(i)).weights();
+    }
+  }
+  ASSERT_GT(w.size(), 5u);
+  ASSERT_NE(w[3], 0.0f);
+  w[3] = -w[3];
+  ScNetwork a(net, golden_config());
+  ScNetwork b(other, golden_config(), a.shared_plans());
+  const nn::Tensor input = random_unit(nn::Shape{16, 16, 1}, 173);
+  for (const bool nan : {false, true}) {
+    if (nan) {
+      w[5] = std::numeric_limits<float>::quiet_NaN();
+    }
+    for (int round = 0; round < 2; ++round) {
+      const std::string label = std::string(nan ? "with NaN" : "sign flip") +
+                                ", round " + std::to_string(round);
+      expect_matches_own_oracle(a, net, input, "original, " + label);
+      expect_matches_own_oracle(b, other, input, "flipped, " + label);
+    }
+  }
 }
 
 TEST(ScGolden, PlannedThreadCountsAgreeOnAllStats) {

@@ -1,12 +1,14 @@
 // Unit tests for the packed per-layer stream plan: slot layout, bit
 // identity of planned segments against direct StreamBank generation, the
-// byte-budget fallback, counter accounting and the shared weight-plan
-// store.
+// byte-budget fallback, counter accounting, and the shared store of
+// per-stage product tables.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
+#include "sim/plan_check.hpp"
 #include "sim/stream_plan.hpp"
 
 namespace acoustic::sim {
@@ -113,7 +115,7 @@ TEST(LayerStreamPlanTest, PooledBuildIsIdenticalToSerial) {
   }
 }
 
-TEST(LayerStreamPlanTest, FetchCountsHitsAndServesPlannedBits) {
+TEST(LayerStreamPlanTest, BuildCountsBitsOfLiveLanesOnly) {
   const SegmentSchedule sched{64, 2, 32};
   StreamBank bank(8, 0x1234, 2 * sched.phase, true);
   const std::vector<std::uint32_t> levels{100, 0, 200};
@@ -121,47 +123,36 @@ TEST(LayerStreamPlanTest, FetchCountsHitsAndServesPlannedBits) {
   StreamPlanCounters counters;
   plan.build(levels, counters, nullptr);
   EXPECT_EQ(counters.bits_generated, 2u * 2 * sched.phase);  // 2 built lanes
-
-  std::vector<std::uint64_t> scratch(sched.seg_words());
-  StreamPlanCounters fetch_counters;
-  const std::uint64_t* got =
-      plan.fetch(2, levels[2], true, 1, scratch, fetch_counters);
-  EXPECT_EQ(got, plan.segment(2, true, 1));
-  EXPECT_EQ(fetch_counters.plan_hits, 1u);
-  EXPECT_EQ(fetch_counters.bits_reused, sched.seg);
-  EXPECT_EQ(fetch_counters.plan_misses, 0u);
+  EXPECT_TRUE(plan.planned(0));
+  EXPECT_FALSE(plan.planned(1));
+  EXPECT_TRUE(plan.planned(2));
 }
 
-TEST(LayerStreamPlanTest, BudgetOverflowFallsBackBitExactly) {
+TEST(LayerStreamPlanTest, BudgetOverflowDisablesThePlan) {
+  // An over-budget plan builds nothing; the executor then generates the
+  // activation words on the fly (ScGolden.PlanBudgetFallbackMatchesScalar
+  // holds that fallback to the scalar oracle bit for bit).
   const SegmentSchedule sched{64, 4, 16};
   StreamBank bank(8, 0x77, 2 * sched.phase, true);
   const std::vector<std::uint32_t> levels{10, 250, 77};
+  const std::size_t bytes = plan_table_bytes(levels.size(), sched);
+  EXPECT_TRUE(LayerStreamPlan(bank, sched, levels.size(), bytes).enabled());
 
-  LayerStreamPlan plan(bank, sched, levels.size(), 1);  // 1 byte: disabled
+  LayerStreamPlan plan(bank, sched, levels.size(), bytes - 1);
   EXPECT_FALSE(plan.enabled());
-  EXPECT_EQ(plan.table_bytes(), 0u);
   StreamPlanCounters counters;
   plan.build(levels, counters, nullptr);  // no-op
   EXPECT_EQ(counters.bits_generated, 0u);
-  EXPECT_FALSE(plan.planned(1));
-
-  std::vector<std::uint64_t> scratch(sched.seg_words());
-  std::vector<std::uint64_t> want(sched.seg_words());
-  StreamPlanCounters fetch_counters;
-  for (const bool positive : {true, false}) {
-    for (std::size_t k = 0; k < sched.positions; ++k) {
-      const std::uint64_t* got =
-          plan.fetch(1, levels[1], positive, k, scratch, fetch_counters);
-      EXPECT_EQ(got, scratch.data());
-      bank.fill(levels[1], 1, sched.offset(positive, k), sched.seg, want);
-      for (std::size_t w = 0; w < sched.seg_words(); ++w) {
-        ASSERT_EQ(got[w], want[w]);
-      }
-    }
+  for (std::size_t lane = 0; lane < levels.size(); ++lane) {
+    EXPECT_FALSE(plan.planned(lane));
   }
-  EXPECT_EQ(fetch_counters.plan_misses, 2 * sched.positions);
-  EXPECT_EQ(fetch_counters.plan_hits, 0u);
-  EXPECT_EQ(fetch_counters.bits_generated, 2 * sched.positions * sched.seg);
+}
+
+/// Weights of a 2-output, 4-slot dense stage: a mix of positive,
+/// negative, level-0 (gated) and sign-0 (zero and NaN) weights.
+std::vector<float> mixed_weights() {
+  return {0.02f, -0.001f, -0.04f, 0.8f,
+          std::numeric_limits<float>::quiet_NaN(), -0.015f, 0.0f, 0.05f};
 }
 
 TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
@@ -171,33 +162,117 @@ TEST(WeightPlanStoreTest, BuildsOncePerStageAndKeysOnLevels) {
   WeightPlanStore store(cfg, 2);
   const SegmentSchedule sched{cfg.phase_length(), 4,
                               cfg.phase_length() / 4};
-  const std::vector<std::uint32_t> levels{5, 0, 9, 200};
+  const WeightMap map = WeightMap::dense(2, 4);
+  const std::vector<float> weights = mixed_weights();
 
-  StreamPlanCounters first;
-  const auto plan1 = store.get(0, sched, levels, 0, first, nullptr);
-  EXPECT_GT(first.bits_generated, 0u);
+  const auto table1 = store.get(0, sched, map, weights, 0, nullptr);
+  EXPECT_EQ(store.builds(), 1u);
+  EXPECT_EQ(table1->gated[2], 1u);  // -0.001 (output 0, negative): level 0
+  EXPECT_TRUE(check_product_table(*table1, store.bank(), weights, "t").clean());
 
-  // Same levels: the cached plan is returned and nothing is rebuilt.
-  StreamPlanCounters second;
-  const auto plan2 = store.get(0, sched, levels, 0, second, nullptr);
-  EXPECT_EQ(plan1.get(), plan2.get());
-  EXPECT_EQ(second.bits_generated, 0u);
+  // Same key: the cached table is returned and nothing is rebuilt — also
+  // for weights that differ bitwise but quantize to the same codes.
+  const auto table2 = store.get(0, sched, map, weights, 0, nullptr);
+  EXPECT_EQ(table1.get(), table2.get());
+  std::vector<float> nudged = weights;
+  nudged[0] = 0.0201f;  // level 5, like 0.02
+  EXPECT_EQ(store.get(0, sched, map, nudged, 0, nullptr).get(), table1.get());
+  EXPECT_EQ(store.builds(), 1u);
 
-  // Changed levels (retraining): rebuild, and the old plan stays valid
+  // Changed level (retraining): rebuild, and the old table stays valid
   // for holders of the original shared_ptr.
-  std::vector<std::uint32_t> retrained = levels;
-  retrained[0] = 6;
-  StreamPlanCounters third;
-  const auto plan3 = store.get(0, sched, retrained, 0, third, nullptr);
-  EXPECT_NE(plan1.get(), plan3.get());
-  EXPECT_GT(third.bits_generated, 0u);
-  EXPECT_TRUE(plan1->planned(0));
+  std::vector<float> retrained = weights;
+  retrained[0] = 0.03f;
+  const auto table3 = store.get(0, sched, map, retrained, 0, nullptr);
+  EXPECT_NE(table1.get(), table3.get());
+  EXPECT_EQ(store.builds(), 2u);
+  EXPECT_EQ(table1->weights[0], weights[0]);
 
   // Distinct stages are independent slots.
-  StreamPlanCounters other;
-  const auto plan4 = store.get(1, sched, levels, 0, other, nullptr);
-  EXPECT_NE(plan4.get(), plan2.get());
-  EXPECT_GT(other.bits_generated, 0u);
+  const auto table4 = store.get(1, sched, map, weights, 0, nullptr);
+  EXPECT_NE(table4.get(), table2.get());
+  EXPECT_EQ(store.builds(), 3u);
+}
+
+TEST(WeightPlanStoreTest, KeysOnSignPhaseAndSchedule) {
+  ScConfig cfg;
+  cfg.stream_length = 128;
+  WeightPlanStore store(cfg, 1);
+  const SegmentSchedule pooled{cfg.phase_length(), 4,
+                               cfg.phase_length() / 4};
+  const SegmentSchedule full{cfg.phase_length(), 1, cfg.phase_length()};
+  const WeightMap map = WeightMap::dense(2, 4);
+  const std::vector<float> weights = mixed_weights();
+  const auto first = store.get(0, pooled, map, weights, 0, nullptr);
+
+  // Equal magnitude, one weight moved to the other sign phase.
+  std::vector<float> flipped = weights;
+  flipped[0] = -flipped[0];
+  const auto by_sign = store.get(0, pooled, map, flipped, 0, nullptr);
+  EXPECT_NE(by_sign.get(), first.get());
+  EXPECT_EQ(by_sign->group_off[1] - by_sign->group_off[0],
+            first->group_off[1] - first->group_off[0] - 1);
+
+  // Same weights under another schedule (an input size whose pool no
+  // longer tiles): a table with the other slot layout.
+  const auto by_sched = store.get(0, full, map, flipped, 0, nullptr);
+  EXPECT_NE(by_sched.get(), by_sign.get());
+  EXPECT_EQ(by_sched->words.size(), full.slots() * by_sched->total);
+  EXPECT_EQ(store.builds(), 3u);
+}
+
+TEST(WeightPlanStoreTest, OverBudgetTableKeepsListsWithoutWords) {
+  ScConfig cfg;
+  cfg.stream_length = 128;
+  WeightPlanStore store(cfg, 1);
+  const SegmentSchedule sched{cfg.phase_length(), 1, cfg.phase_length()};
+  const WeightMap map = WeightMap::dense(2, 4);
+  const std::vector<float> weights = mixed_weights();
+  const std::size_t bytes = plan_table_bytes(weights.size(), sched);
+  const auto fits = store.get(0, sched, map, weights, bytes, nullptr);
+  EXPECT_TRUE(fits->has_words);
+  WeightPlanStore tight(cfg, 1);
+  const auto over = tight.get(0, sched, map, weights, bytes - 1, nullptr);
+  EXPECT_FALSE(over->has_words);
+  EXPECT_TRUE(over->words.empty());
+  EXPECT_EQ(over->slot_of, fits->slot_of);
+  EXPECT_EQ(over->group_bm, fits->group_bm);
+  EXPECT_EQ(over->gated, fits->gated);
+  EXPECT_TRUE(check_product_table(*over, tight.bank(), weights, "t").clean());
+}
+
+TEST(WeightPlanStoreTest, ConcurrentFirstGetBuildsOnce) {
+  // Every evaluator clone asks for the same stage at its first image. The
+  // racers must all receive one artifact, built exactly once, and the
+  // pooled build must not race with the readers (run under TSan in CI).
+  ScConfig cfg;
+  cfg.stream_length = 256;
+  WeightPlanStore store(cfg, 1);
+  const SegmentSchedule sched{cfg.phase_length(), 4,
+                              cfg.phase_length() / 4};
+  const WeightMap map = WeightMap::dense(16, 64);
+  std::vector<float> weights(16 * 64);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const float mag = static_cast<float>((i * 37) % 256) / 256.0f;
+    weights[i] = i % 3 == 0 ? -mag : mag;
+  }
+  runtime::ThreadPool pool(4);
+  std::vector<std::shared_ptr<const ProductTable>> got(8);
+  std::vector<std::uint64_t> sums(got.size(), 0);
+  pool.parallel_for(got.size(), [&](std::size_t i, unsigned /*worker*/) {
+    got[i] = store.get(0, sched, map, weights, 0, &pool);
+    for (const std::uint64_t w : got[i]->words) {
+      sums[i] += w;
+    }
+  });
+  EXPECT_EQ(store.builds(), 1u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].get(), got[0].get());
+    EXPECT_EQ(sums[i], sums[0]);
+  }
+  EXPECT_TRUE(
+      check_product_table(*got[0], store.bank(), weights, "t", got[0]->total)
+          .clean());
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ std::vector<std::uint64_t> random_words(std::size_t n, std::uint32_t seed) {
   return words;
 }
 
-// --- forward: single-image SC latency, the bench_sc_forward variants ---
+// --- forward: single-image SC latency, scalar oracle vs planned path ---
 
 void run_forward(obs::Bench& bench, const BenchSuiteOptions& options) {
   nn::Network net = train::build_lenet_small(nn::AccumMode::kOrApprox, 16);
