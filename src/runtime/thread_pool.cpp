@@ -12,6 +12,9 @@ namespace {
 struct TlsBinding {
   ThreadPool* pool = nullptr;
   int worker = -1;
+  /// execute() frames open on this thread: a nested job's chunks run
+  /// inside the chunk that started the job.
+  unsigned depth = 0;
 };
 thread_local TlsBinding tl_binding;  // NOLINT(misc-use-internal-linkage)
 
@@ -142,6 +145,14 @@ unsigned ThreadPool::task_jitter_us() noexcept {
   return g_jitter_us.load(std::memory_order_relaxed);
 }
 
+void ThreadPool::reserve(std::size_t chunks) {
+  const std::size_t share = (chunks + size() - 1) / size();
+  for (const auto& worker : workers_) {
+    const std::lock_guard<std::mutex> lock(worker->mu);
+    worker->reserve(share);
+  }
+}
+
 ThreadPool::Stats ThreadPool::stats() const noexcept {
   return {tasks_.load(std::memory_order_relaxed),
           steals_.load(std::memory_order_relaxed),
@@ -203,11 +214,16 @@ void ThreadPool::execute(const Chunk& chunk, unsigned worker, bool stolen) {
   if (stolen) {
     steals_.fetch_add(1, std::memory_order_relaxed);
   }
-  const unsigned now_active = active_.fetch_add(1, std::memory_order_relaxed) + 1;
-  unsigned peak = busy_peak_.load(std::memory_order_relaxed);
-  while (now_active > peak &&
-         !busy_peak_.compare_exchange_weak(peak, now_active,
-                                           std::memory_order_relaxed)) {
+  // A worker counts as busy once, however deeply its chunks nest.
+  const bool outermost = tl_binding.depth++ == 0;
+  if (outermost) {
+    const unsigned now_active =
+        active_.fetch_add(1, std::memory_order_relaxed) + 1;
+    unsigned peak = busy_peak_.load(std::memory_order_relaxed);
+    while (now_active > peak &&
+           !busy_peak_.compare_exchange_weak(peak, now_active,
+                                             std::memory_order_relaxed)) {
+    }
   }
   const unsigned jitter = g_jitter_us.load(std::memory_order_relaxed);
   if (jitter != 0) {
@@ -237,7 +253,10 @@ void ThreadPool::execute(const Chunk& chunk, unsigned worker, bool stolen) {
       job.cancelled.store(true, std::memory_order_release);
     }
   }
-  active_.fetch_sub(1, std::memory_order_relaxed);
+  if (outermost) {
+    active_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  --tl_binding.depth;
   if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     const std::lock_guard<std::mutex> lock(done_mu_);
     done_cv_.notify_all();

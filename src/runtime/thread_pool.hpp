@@ -77,6 +77,12 @@ class ThreadPool {
                     const std::function<void(std::size_t, unsigned)>& fn,
                     std::size_t grain = 1);
 
+  /// Grows every worker's deque, if needed, so that an external
+  /// parallel_for() of up to @p chunks chunks queues without allocating
+  /// (one allocation per worker at most). Lets a caller that runs
+  /// set-up jobs on the pool first keep its main loop allocation-free.
+  void reserve(std::size_t chunks);
+
   /// Lifetime scheduler telemetry (monotone counters; snapshot before and
   /// after a run and subtract for per-run deltas).
   struct Stats {
@@ -138,7 +144,7 @@ class ThreadPool {
 
   std::atomic<std::uint64_t> tasks_{0};
   std::atomic<std::uint64_t> steals_{0};
-  std::atomic<unsigned> active_{0};     ///< workers inside execute()
+  std::atomic<unsigned> active_{0};     ///< workers inside an execute()
   std::atomic<unsigned> busy_peak_{0};
 };
 

@@ -113,6 +113,11 @@ class ScBackend final : public InferenceBackend {
     exec_.forward_into(input, out);
   }
 
+  std::uint64_t prepare(const nn::Shape& input,
+                        runtime::ThreadPool& pool) override {
+    return exec_.prepare(input, pool);
+  }
+
   [[nodiscard]] RunStats stats() const override {
     const ScNetwork::Stats& s = exec_.stats();
     return RunStats{samples_,         s.layers_run,
@@ -183,9 +188,10 @@ std::unique_ptr<InferenceBackend> make_float_backend(nn::Network& net) {
   return std::make_unique<FloatBackend>(net);
 }
 
-std::unique_ptr<InferenceBackend> make_sc_backend(nn::Network& net,
-                                                  const ScConfig& cfg) {
-  return std::make_unique<ScBackend>(net, cfg);
+std::unique_ptr<InferenceBackend> make_sc_backend(
+    nn::Network& net, const ScConfig& cfg,
+    std::shared_ptr<WeightPlanStore> plans) {
+  return std::make_unique<ScBackend>(net, cfg, std::move(plans));
 }
 
 std::unique_ptr<InferenceBackend> make_bipolar_backend(

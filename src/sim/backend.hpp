@@ -22,6 +22,7 @@
 
 #include "nn/network.hpp"
 #include "obs/span.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sim/bipolar_network.hpp"
 #include "sim/sc_config.hpp"
 #include "sim/sc_network.hpp"
@@ -99,6 +100,18 @@ class InferenceBackend {
     out = forward(input);
   }
 
+  /// Builds, on @p pool, whatever state this backend would otherwise
+  /// build lazily on its first forward of an input of shape @p input and
+  /// share with its clones (the SC backend's per-stage weight tables), and
+  /// returns how many such artifacts it built. Changes no result: a
+  /// forward computes the same bits either way. Default: nothing to build.
+  virtual std::uint64_t prepare(const nn::Shape& input,
+                                runtime::ThreadPool& pool) {
+    (void)input;
+    (void)pool;
+    return 0;
+  }
+
   /// Stats accumulated since construction / the last take_stats().
   [[nodiscard]] virtual RunStats stats() const = 0;
 
@@ -122,9 +135,12 @@ class InferenceBackend {
     nn::Network& net);
 
 /// Bit-level split-unipolar execution (named "sc" for kSkipping pooling,
-/// "sc-mux" for kMux).
+/// "sc-mux" for kMux). @p plans, when given, is the weight-plan store to
+/// draw from (ScNetwork::shared_plans() of an executor of the same network
+/// and config); by default the backend creates its own.
 [[nodiscard]] std::unique_ptr<InferenceBackend> make_sc_backend(
-    nn::Network& net, const ScConfig& cfg);
+    nn::Network& net, const ScConfig& cfg,
+    std::shared_ptr<WeightPlanStore> plans = nullptr);
 
 /// Conventional bipolar-MUX baseline execution.
 [[nodiscard]] std::unique_ptr<InferenceBackend> make_bipolar_backend(

@@ -59,7 +59,9 @@ struct EvalResult {
   std::size_t correct = 0;    ///< top-1 hits
   float accuracy = 0.0f;      ///< correct / samples
   RunStats stats;             ///< merged across all clones
-  double wall_seconds = 0.0;  ///< whole-run wall clock
+  /// Wall clock of the sample loop (the "run" phase); setup — clones and
+  /// the prototype's prepare() — is not included.
+  double wall_seconds = 0.0;
   double throughput_sps = 0.0;  ///< samples / wall_seconds
   LatencyStats latency;
   SchedulerStats sched;       ///< nondeterministic; see SchedulerStats
@@ -73,8 +75,11 @@ struct EvalHooks {
   /// Receives one category-"image" span per sample (track = worker index,
   /// seq = sample index), the per-layer spans of every backend clone, and
   /// — when a profiler is attached — one category-"phase" span per
-  /// evaluate() phase ("setup" = clone creation, "run" = the parallel
-  /// sample loop, "reduce" = stats merge + percentiles).
+  /// evaluate() phase ("setup" = clone creation and the prototype's
+  /// InferenceBackend::prepare(), "run" = the parallel sample loop,
+  /// "reduce" = stats merge + percentiles). Inside "setup", a
+  /// category-"setup" span named "prepare" times prepare() alone; its
+  /// "tables_built" counter is the number of artifacts it built.
   obs::Profiler* profiler = nullptr;
   /// Started hardware-counter group (obs::PerfCounterGroup) whose deltas
   /// are appended to each phase span, attributing cycles / instructions /
@@ -96,9 +101,10 @@ class BatchEvaluator {
   [[nodiscard]] unsigned threads() const noexcept { return pool_.size(); }
 
   /// Evaluates top-1 accuracy of @p prototype on @p data. The prototype
-  /// itself never runs a sample — each worker gets its own clone() — so a
-  /// caller can keep reusing it. Throws std::invalid_argument on an empty
-  /// dataset.
+  /// itself never runs a sample — each worker gets its own clone(), made
+  /// concurrently — so a caller can keep reusing it. Setup also calls
+  /// prototype.prepare() with the first sample's shape on this pool.
+  /// Throws std::invalid_argument on an empty dataset.
   [[nodiscard]] EvalResult evaluate(InferenceBackend& prototype,
                                     const train::Dataset& data,
                                     const EvalHooks& hooks = {});

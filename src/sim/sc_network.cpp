@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "nn/activation.hpp"
 #include "nn/pool.hpp"
@@ -53,12 +54,12 @@ struct ConvGeometry {
   WeightMap map;
 };
 
-ConvGeometry conv_geometry(const LoweredOp& op, const nn::Tensor& input,
+ConvGeometry conv_geometry(const LoweredOp& op, nn::Shape in,
                            std::size_t phase) {
   const nn::Conv2D& conv = *op.conv;
   const auto& spec = conv.spec();
   ConvGeometry g;
-  g.in = input.shape();
+  g.in = in;
   g.conv_out = conv.output_shape(g.in);
   g.pool = op.fused_pool != nullptr ? op.fused_pool->window() : 1;
   if (g.pool > 1 &&
@@ -121,6 +122,12 @@ std::span<const float> node_weights(const LoweredOp& op,
   }
   fold_bn_weights(*op.conv, *op.bn, scratch);
   return scratch;
+}
+
+/// The float weights a weighted node's stochastic datapath sees.
+std::span<const float> stage_weights(const LoweredOp& op,
+                                     std::vector<float>& scratch) {
+  return op.dense != nullptr ? op.dense->weights() : node_weights(op, scratch);
 }
 
 /// Gathers the receptive field of conv output (oy, ox): slot s maps to an
@@ -484,6 +491,87 @@ const ProductTable& ScNetwork::weight_table(std::size_t stage_idx,
   return *stage.table;
 }
 
+std::uint64_t ScNetwork::prepare(const nn::Shape& input,
+                                 runtime::ThreadPool& pool) {
+  if (cfg_.exec != ExecMode::kPlanned) {
+    return 0;  // the scalar oracle reads no tables
+  }
+  // Walk the graph on shapes alone, as forward_into() moves tensors, and
+  // key every weighted stage exactly as its first forward would.
+  struct StageKey {
+    std::size_t stage;
+    SegmentSchedule sched;
+    WeightMap map;
+  };
+  const std::size_t phase = cfg_.phase_length();
+  std::vector<StageKey> keys;
+  const auto conv_stage = [&](std::size_t s, nn::Shape in) {
+    const ConvGeometry g = conv_geometry(ops_[s], in, phase);
+    keys.push_back({s, SegmentSchedule{phase, g.window_positions, g.seg},
+                    g.map});
+    // An untiled fused pool runs unfused, then pools in the binary domain.
+    return g.fused ? g.out_shape
+                   : ops_[s].fused_pool->output_shape(g.out_shape);
+  };
+  const auto walk = [&] {
+    std::unordered_map<const nn::SkipState*, nn::Shape> saved;
+    nn::Shape cur = input;
+    for (std::size_t s = 0; s < ops_.size(); ++s) {
+      const LoweredOp& op = ops_[s];
+      switch (op.kind) {
+        case nn::OpKind::kConv2D:
+          cur = conv_stage(s, cur);
+          break;
+        case nn::OpKind::kDense: {
+          const auto& spec = op.dense->spec();
+          if (cur.size() != static_cast<std::size_t>(spec.in_features)) {
+            return;  // forward_into() reports the mismatch
+          }
+          keys.push_back({s, SegmentSchedule{phase, 1, phase},
+                          WeightMap::dense(
+                              static_cast<std::size_t>(spec.out_features),
+                              static_cast<std::size_t>(spec.in_features))});
+          cur = op.dense->output_shape(cur);
+          break;
+        }
+        case nn::OpKind::kSkipSave:
+          saved[op.skip] = cur;
+          break;
+        case nn::OpKind::kSkipProject: {
+          const auto it = saved.find(op.skip);
+          if (it == saved.end()) {
+            return;  // forward_into() reports the missing skip-save
+          }
+          it->second = conv_stage(s, it->second);
+          break;
+        }
+        case nn::OpKind::kSkipAdd:
+          break;  // block + saved keeps the block's shape
+        default:  // max pools and binary-domain fallbacks
+          cur = op.layer->output_shape(cur);
+          break;
+      }
+      for (const nn::Layer* post : op.post_ops) {
+        cur = post->output_shape(cur);
+      }
+    }
+  };
+  walk();
+
+  // One task per stage; each build's passes and fill become nested jobs
+  // that idle workers steal. The folded weights live only for the build:
+  // the table's copy is the one kept.
+  const std::uint64_t before = wgt_plans_->builds();
+  pool.parallel_for(keys.size(), [&](std::size_t k, unsigned /*worker*/) {
+    const StageKey& key = keys[k];
+    std::vector<float> folded;
+    (void)wgt_plans_->get(key.stage, key.sched, key.map,
+                          stage_weights(ops_[key.stage], folded),
+                          cfg_.plan_budget_bytes, &pool);
+  });
+  return wgt_plans_->builds() - before;
+}
+
 void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
   // Per-run accounting: the hot loops below write into `run` (and locals),
   // never into stats_, so evaluator clones share nothing mutable.
@@ -677,7 +765,7 @@ void ScNetwork::run_conv_scalar(const LoweredOp& op, const nn::Tensor& input,
   const nn::Conv2D& conv = *op.conv;
   const auto& spec = conv.spec();
   const std::size_t phase = cfg_.phase_length();
-  const ConvGeometry g = conv_geometry(op, input, phase);
+  const ConvGeometry g = conv_geometry(op, input.shape(), phase);
 
   StreamBank act_bank(cfg_.sng_width, cfg_.activation_seed, 2 * phase,
                       cfg_.decorrelate_lanes);
@@ -806,7 +894,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
                                  const nn::Tensor& input, nn::Tensor& out,
                                  Stats& run) {
   const std::size_t phase = cfg_.phase_length();
-  const ConvGeometry g = conv_geometry(op, input, phase);
+  const ConvGeometry g = conv_geometry(op, input.shape(), phase);
 
   StreamBank& act_bank = activation_bank();
   const std::span<std::uint32_t> act_levels =
@@ -1153,8 +1241,7 @@ core::Report ScNetwork::validate_plans() {
     // reads them — so a table served for another clone's weights, or a
     // stale one, cannot pass.
     std::vector<float> folded;
-    const std::span<const float> weights =
-        op.dense != nullptr ? op.dense->weights() : node_weights(op, folded);
+    const std::span<const float> weights = stage_weights(op, folded);
     report.merge(check_product_table(tbl, wgt_plans_->bank(), weights,
                                      name + "/product-table"));
   }

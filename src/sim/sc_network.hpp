@@ -76,6 +76,17 @@ class ScNetwork {
     return wgt_plans_;
   }
 
+  /// Builds every weighted stage's product table for inputs of shape
+  /// @p input into the shared store, all stages at once on @p pool, and
+  /// returns how many tables it built (0 when the store already held them
+  /// all, or in scalar mode). Stages are keyed exactly as forward_into()
+  /// keys them, so a later forward of that shape (here or on any clone)
+  /// finds its tables built; another shape still re-keys lazily. Holds
+  /// nothing itself. The walk stops at a stage the forward would reject
+  /// and leaves the error to the forward; a pooling window the stream is
+  /// too short for throws the forward's error.
+  std::uint64_t prepare(const nn::Shape& input, runtime::ThreadPool& pool);
+
   /// Bit-level inference. Input values must lie in [0, 1].
   [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) {
     nn::Tensor out;
@@ -190,6 +201,8 @@ class ScNetwork {
     /// Folded-weight staging buffer (conv nodes with an absorbed
     /// BatchNorm): recomputed every forward — one multiply per weight —
     /// into retained capacity, so steady state stays allocation-free.
+    /// prepare() folds into a local buffer instead, so an executor that
+    /// only prepares keeps no copy.
     std::vector<float> folded;
   };
 

@@ -1,5 +1,6 @@
 #include "sim/stream_plan.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -53,11 +54,14 @@ void slice_lane(const StreamBank& bank, const SegmentSchedule& sched,
   }
 }
 
-/// Builds one stage's product table: classifies every weight into its
-/// (sign phase, output) group in one counting pass and one fill pass, then
-/// slices each entry's stream segments into the [slot][entry][word]
-/// layout, sharded across entries on @p pool (disjoint writes, pure
-/// per-entry content, so the result is independent of the worker count).
+/// Builds one stage's product table. Two passes go over output channels,
+/// codes and counts, then entry lists, around a prefix sum over groups.
+/// Then each entry's stream segments are sliced into the
+/// [slot][entry][word] layout. On
+/// @p pool the channel passes are sharded over channel chunks (channel oc
+/// writes only its own weights' codes and groups oc and outputs + oc) and
+/// the fill over entries. Every write is disjoint and every value a pure
+/// function of its index, so the table is independent of the worker count.
 std::shared_ptr<const ProductTable> build_product_table(
     const StreamBank& bank, const SegmentSchedule& sched, const WeightMap& map,
     std::span<const float> weights, std::size_t budget_bytes,
@@ -67,57 +71,79 @@ std::shared_ptr<const ProductTable> build_product_table(
   tbl->map = map;
   tbl->weights.assign(weights.begin(), weights.end());
   std::vector<WeightCode> codes(weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    codes[i] = weight_code(bank, weights[i]);
-  }
+  const std::size_t outputs = map.outputs;
   const std::size_t groups = tbl->groups();
   tbl->bm_words = (map.slots + 63) / 64;
   tbl->group_off.assign(groups + 1, 0);
   tbl->gated.assign(groups, 0);
   tbl->group_bm.assign(groups * tbl->bm_words, 0);
-  const auto group_of = [&](const WeightCode& c, std::size_t oc) {
-    return (c.sign > 0 ? 0 : map.outputs) + oc;
+
+  // Channels per chunk: about kPairGrain (channel, slot) pairs, so small
+  // tables (one chunk) stay serial and large ones queue a few hundred
+  // tasks rather than one per channel.
+  constexpr std::size_t kPairGrain = std::size_t{1} << 14;
+  const std::size_t channel_grain = std::max<std::size_t>(
+      1, kPairGrain / std::max<std::size_t>(1, map.slots));
+  const auto for_channels = [&](const auto& body) {
+    if (pool != nullptr && outputs > channel_grain) {
+      pool->parallel_for(
+          outputs, [&](std::size_t oc, unsigned /*worker*/) { body(oc); },
+          channel_grain);
+    } else {
+      for (std::size_t oc = 0; oc < outputs; ++oc) {
+        body(oc);
+      }
+    }
   };
-  // Counting pass: group_off[g + 1] collects group g's live entries.
-  for (std::size_t oc = 0; oc < map.outputs; ++oc) {
+  // Codes and counts: group_off[g + 1] collects group g's live entries.
+  // Channel oc's weights are [oc * w_per_oc, (oc + 1) * w_per_oc).
+  for_channels([&](std::size_t oc) {
+    const std::size_t end =
+        std::min(weights.size(), (oc + 1) * map.w_per_oc);
+    for (std::size_t i = oc * map.w_per_oc; i < end; ++i) {
+      codes[i] = weight_code(bank, weights[i]);
+    }
     for (std::size_t s = 0; s < map.slots; ++s) {
       const std::size_t wi = map.weight(oc, s);
       if (wi == WeightMap::kNone || codes[wi].sign == 0) {
         continue;  // unconnected, or active in neither phase
       }
-      const std::size_t g = group_of(codes[wi], oc);
+      const std::size_t g = (codes[wi].sign > 0 ? 0 : outputs) + oc;
       ++(codes[wi].level != 0 ? tbl->group_off[g + 1] : tbl->gated[g]);
     }
-  }
+  });
   for (std::size_t g = 0; g < groups; ++g) {
     tbl->group_off[g + 1] += tbl->group_off[g];
   }
   tbl->total = tbl->group_off[groups];
   tbl->slot_of.resize(tbl->total);
   tbl->lane_of.resize(tbl->total);
-  std::vector<std::uint32_t> cursor(tbl->group_off.begin(),
-                                    tbl->group_off.end() - 1);
-  for (std::size_t oc = 0; oc < map.outputs; ++oc) {
+  // Entry lists: a channel fills its two groups from their offsets on.
+  for_channels([&](std::size_t oc) {
+    std::uint32_t cursor[2] = {tbl->group_off[oc],
+                               tbl->group_off[outputs + oc]};
     for (std::size_t s = 0; s < map.slots; ++s) {
       const std::size_t wi = map.weight(oc, s);
       if (wi == WeightMap::kNone || codes[wi].sign == 0 ||
           codes[wi].level == 0) {
         continue;
       }
-      const std::size_t g = group_of(codes[wi], oc);
-      const std::uint32_t e = cursor[g]++;
+      const std::size_t ph = codes[wi].sign > 0 ? 0 : 1;
+      const std::size_t g = ph * outputs + oc;
+      const std::uint32_t e = cursor[ph]++;
       tbl->slot_of[e] = static_cast<std::uint32_t>(s);
       tbl->lane_of[e] = static_cast<std::uint32_t>(wi);
       tbl->group_bm[g * tbl->bm_words + s / 64] |= std::uint64_t{1}
                                                    << (s % 64);
     }
-  }
+  });
 
   tbl->has_words =
       within_plan_budget(plan_table_bytes(codes.size(), sched), budget_bytes);
   if (tbl->has_words) {
     const std::size_t seg_words = sched.seg_words();
     const std::size_t stride = tbl->total * seg_words;
+    // Uninitialised: the fill writes every word of every entry's slots.
     tbl->words.resize(sched.slots() * stride);
     const auto fill_entry = [&](std::size_t e, std::uint64_t* buf) {
       const std::uint32_t lane = tbl->lane_of[e];

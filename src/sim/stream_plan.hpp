@@ -31,7 +31,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sim/sc_config.hpp"
@@ -215,6 +217,50 @@ struct WeightCode {
   return budget_bytes == 0 || bytes <= budget_bytes;
 }
 
+/// The allocator of a ProductTable's arrays. Every worker reads a table
+/// in its hot loop, so each array starts on its own cache line and is
+/// padded to whole lines: no data another thread writes can share a line
+/// with it. (Tables built in the evaluator's setup sat next to the
+/// clones' later per-image scratch in the workers' heaps; on a 4-CPU
+/// host the false sharing cost ~15% of cifar-warm-eval throughput.)
+/// construct() without a value default-initialises, so resize() leaves
+/// scalars unwritten and the (parallel) pass that fills the array first
+/// touches its pages.
+template <typename T>
+struct TableAllocator : std::allocator<T> {
+  static constexpr std::size_t kLine = 64;
+
+  using value_type = T;
+  template <typename U>
+  struct rebind {
+    using other = TableAllocator<U>;
+  };
+  TableAllocator() = default;
+  template <typename U>
+  TableAllocator(const TableAllocator<U>& /*other*/) noexcept {}
+
+  T* allocate(std::size_t n) {
+    const std::size_t bytes = (n * sizeof(T) + kLine - 1) / kLine * kLine;
+    return static_cast<T*>(::operator new(bytes, std::align_val_t{kLine}));
+  }
+  void deallocate(T* p, std::size_t /*n*/) noexcept {
+    ::operator delete(p, std::align_val_t{kLine});
+  }
+
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
+/// A ProductTable array (see TableAllocator).
+template <typename T>
+using TableVector = std::vector<T, TableAllocator<T>>;
+
 /// The immutable weight side of one weighted stage, in the order the
 /// datapath reads it. Weights are grouped by (sign phase, output): group
 /// `ph * outputs + oc`, ph 0 = positive. A group's entries are its live
@@ -228,18 +274,18 @@ struct WeightCode {
 /// It stays empty when plan_table_bytes() over all weights exceeds the
 /// plan budget; the executor then fills live entries' words from the bank
 /// on the fly.
-struct ProductTable {
+struct alignas(TableAllocator<char>::kLine) ProductTable {
   SegmentSchedule sched;
   WeightMap map;
   /// The float weights the table encodes: the source of its cache key
   /// (their codes) and of each entry's level.
-  std::vector<float> weights;
-  std::vector<std::uint32_t> group_off;  ///< exclusive prefix, groups + 1
-  std::vector<std::uint32_t> gated;      ///< level-0 weights per group
-  std::vector<std::uint32_t> slot_of;    ///< entry -> receptive-field slot
-  std::vector<std::uint32_t> lane_of;    ///< entry -> weight index (lane)
-  std::vector<std::uint64_t> group_bm;   ///< [group][bm_words] slot bitmap
-  std::vector<std::uint64_t> words;      ///< [slot][entry][word] or empty
+  TableVector<float> weights;
+  TableVector<std::uint32_t> group_off;  ///< exclusive prefix, groups + 1
+  TableVector<std::uint32_t> gated;      ///< level-0 weights per group
+  TableVector<std::uint32_t> slot_of;    ///< entry -> receptive-field slot
+  TableVector<std::uint32_t> lane_of;    ///< entry -> weight index (lane)
+  TableVector<std::uint64_t> group_bm;   ///< [group][bm_words] slot bitmap
+  TableVector<std::uint64_t> words;      ///< [slot][entry][word] or empty
   std::size_t total = 0;                 ///< entries across all groups
   std::size_t bm_words = 0;
   bool has_words = false;  ///< words fit the budget and were built
@@ -274,8 +320,9 @@ class WeightPlanStore {
 
   /// The table for @p stage under @p sched, @p map and the codes of
   /// @p weights, building it if absent or keyed differently. The build
-  /// runs under the stage's mutex; @p pool, when non-null, shards its word
-  /// fill.
+  /// runs under the stage's mutex; @p pool, when non-null, shards its
+  /// per-channel passes and its word fill (nested jobs when the caller is
+  /// one of the pool's workers, so builds of several stages run at once).
   [[nodiscard]] std::shared_ptr<const ProductTable> get(
       std::size_t stage, const SegmentSchedule& sched, const WeightMap& map,
       std::span<const float> weights, std::size_t budget_bytes,

@@ -202,6 +202,20 @@ TEST(ThreadPool, StatsCountTasksAndBoundBusyPeak) {
   EXPECT_LE(after.busy_peak, pool.size());
 }
 
+TEST(ThreadPool, BusyPeakCountsANestingWorkerOnce) {
+  // A worker running a nested job's chunks inside its own chunk is still
+  // one busy worker, so the peak stays within the pool size.
+  ThreadPool pool(3);
+  pool.parallel_for(6, [&](std::size_t, unsigned) {
+    pool.parallel_for(8, [&](std::size_t, unsigned) {
+      pool.parallel_for(4, [](std::size_t, unsigned) {});
+    });
+  });
+  const ThreadPool::Stats stats = pool.stats();
+  EXPECT_GE(stats.busy_peak, 1u);
+  EXPECT_LE(stats.busy_peak, pool.size());
+}
+
 TEST(ThreadPool, FirstExceptionWinsAndTheRestDrain) {
   // Every chunk throws; exactly one exception may surface at the join and
   // the pool must come back clean. Cancellation means some chunks never

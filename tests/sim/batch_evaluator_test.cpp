@@ -5,8 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <vector>
 
+#include "nn/activation.hpp"
+#include "nn/conv.hpp"
+#include "nn/pool.hpp"
+#include "nn/residual.hpp"
+#include "obs/span.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/backend.hpp"
 #include "sim/evaluate.hpp"
@@ -213,6 +225,241 @@ TEST(BatchEvaluator, MoreThreadsThanSamples) {
   const EvalResult one = BatchEvaluator(1).evaluate(*backend, data);
   const EvalResult many = BatchEvaluator(6).evaluate(*backend, data);
   expect_same_result(one, many);
+}
+
+/// A residual net that runs at any input side (no dense head): a stem
+/// conv3x3(3->8) with a fused avgpool3, which tiles a 12x12 input but not
+/// an 8x8 one, so the stem's schedule depends on the side; a downsampling
+/// block with a 1x1 stride-2 skip projection and a grouped conv; and a 1x1
+/// conv to 10 channels as the logits.
+nn::Network make_any_side_net() {
+  const auto mode = nn::AccumMode::kOrApprox;
+  nn::Network net;
+  auto& stem = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 3, .out_channels = 8, .kernel = 3, .padding = 1,
+      .mode = mode});
+  net.add<nn::AvgPool2D>(3);
+  net.add<nn::ReLU>();
+  auto state = std::make_shared<nn::SkipState>();
+  net.add<nn::SkipSave>(state);
+  auto& proj = net.add<nn::SkipProject>(
+      state, nn::ConvSpec{.in_channels = 8, .out_channels = 12, .kernel = 1,
+                          .stride = 2, .mode = mode});
+  auto& b1 = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 8, .out_channels = 12, .kernel = 3, .stride = 2,
+      .padding = 1, .mode = mode});
+  net.add<nn::ReLU>();
+  auto& b2 = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 12, .out_channels = 12, .kernel = 3, .padding = 1,
+      .groups = 2, .mode = mode});
+  net.add<nn::SkipAdd>(state);
+  net.add<nn::ReLU>();
+  auto& head = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 12, .out_channels = 10, .kernel = 1, .mode = mode});
+  stem.initialize(31);
+  proj.conv().initialize(32);
+  b1.initialize(33);
+  b2.initialize(34);
+  head.initialize(35);
+  return net;
+}
+
+/// Weighted stages of make_any_side_net(): stem, projection, b1, b2, head.
+constexpr std::uint64_t kAnySideStages = 5;
+
+ScConfig any_side_sc() {
+  ScConfig cfg;
+  cfg.stream_length = 64;
+  return cfg;
+}
+
+/// RGB images of the given sides with pseudo-random pixels in [0, 1].
+train::Dataset images_of_sides(const std::vector<int>& sides) {
+  train::Dataset data;
+  std::uint32_t h = 12345;
+  for (std::size_t i = 0; i < sides.size(); ++i) {
+    nn::Tensor image(nn::Shape{sides[i], sides[i], 3});
+    for (std::size_t k = 0; k < image.size(); ++k) {
+      h = h * 1664525u + 1013904223u;
+      image[k] = static_cast<float>(h >> 8) / static_cast<float>(1u << 24);
+    }
+    data.samples.push_back({std::move(image), static_cast<int>(i % 10)});
+  }
+  return data;
+}
+
+bool same_bits(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+/// Wraps a backend and records the logits of every forward by input
+/// address, so a test can read the evaluator's per-image outputs.
+class RecordingBackend final : public InferenceBackend {
+ public:
+  struct Log {
+    std::mutex mu;
+    std::map<const nn::Tensor*, nn::Tensor> logits;
+  };
+
+  RecordingBackend(std::unique_ptr<InferenceBackend> inner,
+                   std::shared_ptr<Log> log)
+      : inner_(std::move(inner)), log_(std::move(log)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::unique_ptr<InferenceBackend> clone() const override {
+    return std::make_unique<RecordingBackend>(inner_->clone(), log_);
+  }
+  [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) override {
+    nn::Tensor out;
+    forward_into(input, out);
+    return out;
+  }
+  void forward_into(const nn::Tensor& input, nn::Tensor& out) override {
+    inner_->forward_into(input, out);
+    const std::lock_guard<std::mutex> lock(log_->mu);
+    log_->logits[&input] = out;
+  }
+  [[nodiscard]] RunStats stats() const override { return inner_->stats(); }
+  [[nodiscard]] RunStats take_stats() override { return inner_->take_stats(); }
+  std::uint64_t prepare(const nn::Shape& input,
+                        runtime::ThreadPool& pool) override {
+    return inner_->prepare(input, pool);
+  }
+  void set_profiler(obs::Profiler* profiler, std::uint32_t track) override {
+    inner_->set_profiler(profiler, track);
+  }
+
+ private:
+  std::unique_ptr<InferenceBackend> inner_;
+  std::shared_ptr<Log> log_;
+};
+
+/// The "tables_built" counter of the evaluator's "prepare" setup span.
+std::uint64_t tables_built(const obs::Profiler& profiler) {
+  const std::vector<obs::ProfileRow> rows =
+      obs::aggregate_profile(profiler.snapshot(), "setup");
+  EXPECT_EQ(rows.size(), 1u);
+  return rows.empty() ? 0 : rows.front().counter("tables_built");
+}
+
+TEST(BatchEvaluatorTest, PrepareBuildsEveryStageOnceUpFront) {
+  // Side 12 fuses the stem's pool, side 8 runs it unfused: either way
+  // setup keys every stage as its forward will.
+  nn::Network net = make_any_side_net();
+  const ScConfig cfg = any_side_sc();
+  for (const int side : {12, 8}) {
+    SCOPED_TRACE(side);
+    const train::Dataset data =
+        images_of_sides(std::vector<int>(6, side));
+    const std::shared_ptr<WeightPlanStore> store =
+        ScNetwork(net, cfg).shared_plans();
+    const auto backend = make_sc_backend(net, cfg, store);
+    obs::Profiler profiler;
+    EvalHooks hooks;
+    hooks.profiler = &profiler;
+    std::atomic<std::uint64_t> builds_at_first_image{0};
+    hooks.progress = [&](std::size_t done, std::size_t /*total*/) {
+      if (done == 1) {
+        builds_at_first_image = store->builds();
+      }
+    };
+    (void)BatchEvaluator(4).evaluate(*backend, data, hooks);
+    // Setup built each weighted stage once; the run built nothing more.
+    EXPECT_EQ(tables_built(profiler), kAnySideStages);
+    EXPECT_EQ(builds_at_first_image.load(), kAnySideStages);
+    EXPECT_EQ(store->builds(), kAnySideStages);
+  }
+}
+
+TEST(BatchEvaluatorTest, PrepareOnWarmStoreBuildsNothing) {
+  nn::Network net = make_any_side_net();
+  const train::Dataset data = images_of_sides({12, 12, 12, 12});
+  const ScConfig cfg = any_side_sc();
+  // A direct forward of the same shape warms the store first.
+  ScNetwork warm(net, cfg);
+  (void)warm.forward(data.samples.front().image);
+  EXPECT_EQ(warm.shared_plans()->builds(), kAnySideStages);
+  const auto backend = make_sc_backend(net, cfg, warm.shared_plans());
+  for (int run = 0; run < 2; ++run) {
+    obs::Profiler profiler;
+    EvalHooks hooks;
+    hooks.profiler = &profiler;
+    (void)BatchEvaluator(3).evaluate(*backend, data, hooks);
+    EXPECT_EQ(tables_built(profiler), 0u) << "run " << run;
+    EXPECT_EQ(warm.shared_plans()->builds(), kAnySideStages) << "run " << run;
+  }
+}
+
+TEST(BatchEvaluatorTest, MixedShapesMatchFreshForwards) {
+  // Setup prepares the tables for the first image's 8x8 shape; the 12x12
+  // images key the stem on another schedule (its pool tiles only there),
+  // so they must re-key the store lazily and never run on a table built
+  // for the other shape. Per-image logits and the merged stats must equal
+  // a fresh backend's serial forwards.
+  nn::Network net = make_any_side_net();
+  const train::Dataset data =
+      images_of_sides({8, 12, 12, 8, 12, 8, 8, 12, 8, 12});
+  const ScConfig cfg = any_side_sc();
+  const auto fresh = make_sc_backend(net, cfg);
+  std::vector<nn::Tensor> want;
+  std::size_t want_correct = 0;
+  for (const train::Sample& sample : data.samples) {
+    want.push_back(fresh->forward(sample.image));
+    if (static_cast<int>(want.back().argmax()) == sample.label) {
+      ++want_correct;
+    }
+  }
+  const RunStats want_stats = fresh->take_stats();
+
+  const unsigned saved = runtime::ThreadPool::task_jitter_us();
+  runtime::ThreadPool::set_task_jitter_us(50);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    auto log = std::make_shared<RecordingBackend::Log>();
+    RecordingBackend backend(make_sc_backend(net, cfg), log);
+    const EvalResult result = BatchEvaluator(threads).evaluate(backend, data);
+    EXPECT_EQ(result.correct, want_correct);
+    EXPECT_EQ(result.stats, want_stats);
+    ASSERT_EQ(log->logits.size(), data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      EXPECT_TRUE(same_bits(log->logits.at(&data.samples[i].image), want[i]))
+          << "image " << i;
+    }
+  }
+  runtime::ThreadPool::set_task_jitter_us(saved);
+}
+
+TEST(BatchEvaluatorTest, ClonesKeepWorkerTracks) {
+  // Clone w reports its layer spans on track w: every layer span lies
+  // inside an image span of the same worker.
+  nn::Network net = make_any_side_net();
+  const train::Dataset data = images_of_sides({12, 12, 12, 12, 12, 12, 12});
+  const auto backend = make_sc_backend(net, any_side_sc());
+  obs::Profiler profiler;
+  EvalHooks hooks;
+  hooks.profiler = &profiler;
+  const EvalResult result = BatchEvaluator(4).evaluate(*backend, data, hooks);
+  EXPECT_EQ(result.stats.samples, data.size());
+  const std::vector<obs::SpanRecord> spans = profiler.snapshot();
+  std::size_t layers = 0;
+  for (const obs::SpanRecord& layer : spans) {
+    if (layer.category != "layer") {
+      continue;
+    }
+    ++layers;
+    EXPECT_LT(layer.track, 4u);
+    const bool inside = std::any_of(
+        spans.begin(), spans.end(), [&](const obs::SpanRecord& image) {
+          return image.category == "image" && image.track == layer.track &&
+                 image.start_ns <= layer.start_ns &&
+                 layer.start_ns + layer.dur_ns <=
+                     image.start_ns + image.dur_ns;
+        });
+    EXPECT_TRUE(inside) << layer.name << " on track " << layer.track;
+  }
+  EXPECT_GT(layers, 0u);
 }
 
 }  // namespace

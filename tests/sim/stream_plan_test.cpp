@@ -4,6 +4,8 @@
 // per-stage product tables.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -273,6 +275,126 @@ TEST(WeightPlanStoreTest, ConcurrentFirstGetBuildsOnce) {
   EXPECT_TRUE(
       check_product_table(*got[0], store.bank(), weights, "t", got[0]->total)
           .clean());
+}
+
+/// One stage of a multi-stage store test: its key and weights.
+struct StageCase {
+  SegmentSchedule sched;
+  WeightMap map;
+  std::vector<float> weights;
+};
+
+/// Weights for @p count slots: both signs, level-0 magnitudes, zeros and a
+/// NaN, in a fixed pseudo-random order.
+std::vector<float> varied_weights(std::size_t count, std::uint32_t salt) {
+  std::vector<float> w(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t h =
+        static_cast<std::uint32_t>(i * 2654435761u) ^ (salt * 40503u);
+    const float mag = static_cast<float>(h % 1000) / 1000.0f;
+    w[i] = h % 7 == 0 ? 0.0f : (h % 3 == 0 ? -mag : mag * 0.01f * (h % 5));
+  }
+  w[count / 2] = std::numeric_limits<float>::quiet_NaN();
+  return w;
+}
+
+/// Stages big enough that build_product_table shards its channel passes
+/// and its fill: a grouped 3x3 conv under a pooled schedule, a multi-word
+/// full-phase conv and a dense head.
+std::vector<StageCase> prepare_cases(const ScConfig& cfg) {
+  const std::size_t phase = cfg.phase_length();
+  std::vector<StageCase> cases;
+  // conv3x3, 64 -> 96 channels in 2 groups: slots 9 * 64, 288 weights each.
+  const WeightMap grouped{96, 9 * 64, 64, 32, 48, 9 * 32};
+  cases.push_back({SegmentSchedule{phase, 4, phase / 4}, grouped,
+                   varied_weights(96 * 9 * 32, 1)});
+  // conv3x3, 32 -> 80 channels, one full-phase segment of several words.
+  const WeightMap plain{80, 9 * 32, 32, 32, 80, 9 * 32};
+  cases.push_back({SegmentSchedule{phase, 1, phase}, plain,
+                   varied_weights(80 * 9 * 32, 2)});
+  cases.push_back({SegmentSchedule{phase, 1, phase}, WeightMap::dense(10, 300),
+                   varied_weights(10 * 300, 3)});
+  return cases;
+}
+
+void expect_same_table(const ProductTable& a, const ProductTable& b) {
+  EXPECT_EQ(a.sched, b.sched);
+  EXPECT_EQ(a.map, b.map);
+  ASSERT_EQ(a.weights.size(), b.weights.size());
+  EXPECT_EQ(std::memcmp(a.weights.data(), b.weights.data(),
+                        a.weights.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(a.group_off, b.group_off);
+  EXPECT_EQ(a.gated, b.gated);
+  EXPECT_EQ(a.slot_of, b.slot_of);
+  EXPECT_EQ(a.lane_of, b.lane_of);
+  EXPECT_EQ(a.group_bm, b.group_bm);
+  EXPECT_EQ(a.words, b.words);
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(a.bm_words, b.bm_words);
+  EXPECT_EQ(a.has_words, b.has_words);
+}
+
+/// Every worker reads a table in its hot loop: the table and each of its
+/// arrays must start on a cache line of their own.
+void expect_line_aligned(const ProductTable& t) {
+  const auto line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+  };
+  EXPECT_TRUE(line(&t));
+  EXPECT_TRUE(line(t.weights.data()));
+  EXPECT_TRUE(line(t.group_off.data()));
+  EXPECT_TRUE(line(t.gated.data()));
+  EXPECT_TRUE(line(t.slot_of.data()));
+  EXPECT_TRUE(line(t.lane_of.data()));
+  EXPECT_TRUE(line(t.group_bm.data()));
+  EXPECT_TRUE(line(t.words.data()));
+}
+
+TEST(WeightPlanStoreTest, PreparedTablesEqualLazyTables) {
+  // The up-front build (ScNetwork::prepare) gets every stage inside one
+  // parallel_for over stages, so each build's passes and fill run as
+  // nested jobs next to the other stages'. The tables must equal the ones
+  // a lazy serial get() builds, field for field and word for word, on any
+  // pool size and under forced stealing.
+  ScConfig cfg;
+  cfg.stream_length = 384;  // phase 192: three words per full-phase slot
+  const std::vector<StageCase> cases = prepare_cases(cfg);
+  WeightPlanStore lazy(cfg, cases.size());
+  std::vector<std::shared_ptr<const ProductTable>> want;
+  for (std::size_t s = 0; s < cases.size(); ++s) {
+    want.push_back(lazy.get(s, cases[s].sched, cases[s].map,
+                            cases[s].weights, 0, nullptr));
+    EXPECT_TRUE(check_product_table(*want[s], lazy.bank(), cases[s].weights,
+                                    "lazy", want[s]->total)
+                    .clean());
+  }
+
+  const unsigned saved = runtime::ThreadPool::task_jitter_us();
+  runtime::ThreadPool::set_task_jitter_us(50);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    runtime::ThreadPool pool(threads);
+    WeightPlanStore prepared(cfg, cases.size());
+    pool.parallel_for(cases.size(), [&](std::size_t s, unsigned /*worker*/) {
+      (void)prepared.get(s, cases[s].sched, cases[s].map, cases[s].weights, 0,
+                         &pool);
+    });
+    EXPECT_EQ(prepared.builds(), cases.size());
+    for (std::size_t s = 0; s < cases.size(); ++s) {
+      SCOPED_TRACE(s);
+      // Same key: served from the store, not rebuilt.
+      const auto got = prepared.get(s, cases[s].sched, cases[s].map,
+                                    cases[s].weights, 0, nullptr);
+      expect_same_table(*got, *want[s]);
+      expect_line_aligned(*got);
+      EXPECT_TRUE(check_product_table(*got, prepared.bank(), cases[s].weights,
+                                      "prepared", got->total)
+                      .clean());
+    }
+    EXPECT_EQ(prepared.builds(), cases.size());
+  }
+  runtime::ThreadPool::set_task_jitter_us(saved);
 }
 
 }  // namespace

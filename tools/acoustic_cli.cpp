@@ -601,7 +601,20 @@ int cmd_eval(const EvalOptions& opt) {
     dropped_spans = profiler.dropped();
     spans = profiler.take();
     rows = obs::aggregate_profile(spans, "layer");
-    phase_rows = obs::aggregate_profile(spans, "phase");
+    // Evaluator phases in order, each step inside setup (the up-front
+    // table build) right after it as "setup/<step>".
+    const std::vector<obs::ProfileRow> setup_steps =
+        obs::aggregate_profile(spans, "setup");
+    for (obs::ProfileRow& row : obs::aggregate_profile(spans, "phase")) {
+      const bool setup = row.name == "setup";
+      phase_rows.push_back(std::move(row));
+      if (setup) {
+        for (const obs::ProfileRow& step : setup_steps) {
+          phase_rows.push_back(step);
+          phase_rows.back().name = "setup/" + step.name;
+        }
+      }
+    }
   }
   if (opt.verbose && want_profiler) {
     std::fprintf(stderr, "trace: %zu span(s) recorded, %llu dropped\n",
