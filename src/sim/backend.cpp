@@ -81,13 +81,18 @@ class FloatBackend final : public InferenceBackend {
   std::uint32_t track_ = 0;
 };
 
-/// Bit-level split-unipolar execution via ScNetwork.
+/// Bit-level split-unipolar execution via an owning ScNetwork: its
+/// snapshot is unreachable from here on, so every stage checks its weights
+/// against the store once and then reuses its table without re-reading
+/// them.
 class ScBackend final : public InferenceBackend {
  public:
   ScBackend(nn::Network& net, const ScConfig& cfg,
             std::shared_ptr<WeightPlanStore> shared_plans = nullptr)
-      : net_(std::make_unique<nn::Network>(net.clone())),
-        exec_(*net_, cfg, std::move(shared_plans)) {}
+      : exec_(net.clone(), cfg, std::move(shared_plans)) {}
+
+  /// Executor clone: a snapshot of @p exec's network, sharing its store.
+  explicit ScBackend(const ScNetwork& exec) : exec_(exec.clone()) {}
 
   [[nodiscard]] std::string name() const override {
     return exec_.config().pooling == PoolingMode::kSkipping ? "sc"
@@ -99,8 +104,7 @@ class ScBackend final : public InferenceBackend {
     // pure functions of (config, weight levels), so N workers build each
     // plan once between them and the merged stats stay thread-count
     // invariant.
-    return std::make_unique<ScBackend>(*net_, exec_.config(),
-                                       exec_.shared_plans());
+    return std::make_unique<ScBackend>(exec_);
   }
 
   [[nodiscard]] nn::Tensor forward(const nn::Tensor& input) override {
@@ -141,7 +145,6 @@ class ScBackend final : public InferenceBackend {
   }
 
  private:
-  std::unique_ptr<nn::Network> net_;
   ScNetwork exec_;
   std::uint64_t samples_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -91,6 +92,12 @@ ConvGeometry conv_geometry(const LoweredOp& op, nn::Shape in,
   return g;
 }
 
+/// Weights per output channel of @p spec (one BatchNorm scale each).
+std::size_t weights_per_oc(const nn::ConvSpec& spec) {
+  return static_cast<std::size_t>(spec.kernel) * spec.kernel *
+         static_cast<std::size_t>(spec.in_channels / spec.groups);
+}
+
 /// Folds an absorbed BatchNorm's per-channel scale into the conv weights
 /// (w' = w * scale(oc)); the shift is applied post-counter instead. The
 /// folded floats feed quantization AND sign classification, so a negative
@@ -99,10 +106,7 @@ void fold_bn_weights(const nn::Conv2D& conv, const nn::BatchNorm& bn,
                      std::vector<float>& out) {
   const auto w = conv.weights();
   const auto& spec = conv.spec();
-  const std::size_t per_oc = static_cast<std::size_t>(spec.kernel) *
-                             spec.kernel *
-                             static_cast<std::size_t>(spec.in_channels /
-                                                      spec.groups);
+  const std::size_t per_oc = weights_per_oc(spec);
   out.resize(w.size());
   for (int oc = 0; oc < spec.out_channels; ++oc) {
     const float s = bn.scale(oc);
@@ -129,6 +133,61 @@ std::span<const float> stage_weights(const LoweredOp& op,
                                      std::vector<float>& scratch) {
   return op.dense != nullptr ? op.dense->weights() : node_weights(op, scratch);
 }
+
+/// True when the float weights @p op's datapath sees (BN-folded where a
+/// BatchNorm is absorbed) equal @p encoded bit for bit, as a memcmp of a
+/// folded copy would find. One read-only pass: the fold is computed on
+/// the fly, with fold_bn_weights()'s expression, and never stored.
+bool same_weights(const LoweredOp& op, std::span<const float> encoded) {
+  const std::span<const float> w =
+      op.dense != nullptr ? op.dense->weights() : op.conv->weights();
+  if (w.size() != encoded.size()) {
+    return false;
+  }
+  if (op.bn == nullptr) {
+    return w.empty() || std::memcmp(w.data(), encoded.data(),
+                                    w.size() * sizeof(float)) == 0;
+  }
+  const auto& spec = op.conv->spec();
+  const std::size_t per_oc = weights_per_oc(spec);
+  for (int oc = 0; oc < spec.out_channels; ++oc) {
+    const float s = op.bn->scale(oc);
+    const std::size_t base = static_cast<std::size_t>(oc) * per_oc;
+    // Branch-free within a channel so the pass vectorizes.
+    std::uint32_t diff = 0;
+    for (std::size_t j = 0; j < per_oc; ++j) {
+      diff |= std::bit_cast<std::uint32_t>(w[base + j] * s) ^
+              std::bit_cast<std::uint32_t>(encoded[base + j]);
+    }
+    if (diff != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+#ifndef NDEBUG
+/// Whether @p held still encodes @p op's weights: bit for bit, or code for
+/// code when the store served a table built from a sibling's code-equal
+/// weights. The owning form's fast path asserts it every forward.
+bool table_encodes(const LoweredOp& op, const ProductTable& held,
+                   const StreamBank& bank) {
+  if (same_weights(op, held.weights)) {
+    return true;
+  }
+  std::vector<float> folded;
+  const std::span<const float> w = stage_weights(op, folded);
+  if (w.size() != held.weights.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    if (!(weight_code(bank, w[i]) == weight_code(bank, held.weights[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+#endif
 
 /// Gathers the receptive field of conv output (oy, ox): slot s maps to an
 /// input pixel and to the weight offset (ky, kx, ic) shared by all output
@@ -420,8 +479,24 @@ void conv_row(const ConvRows& c, std::size_t row, ConvWorker& ws) {
 }  // namespace
 
 ScNetwork::ScNetwork(nn::Network& net, ScConfig cfg,
+                     std::shared_ptr<WeightPlanStore> shared) {
+  init(net, cfg, std::move(shared));
+}
+
+ScNetwork::ScNetwork(nn::Network&& snapshot, ScConfig cfg,
                      std::shared_ptr<WeightPlanStore> shared)
-    : net_(&net), cfg_(cfg) {
+    : owned_(std::make_unique<nn::Network>(std::move(snapshot))) {
+  init(*owned_, cfg, std::move(shared));
+}
+
+ScNetwork ScNetwork::clone() const {
+  return ScNetwork(net_->clone(), cfg_, wgt_plans_);
+}
+
+void ScNetwork::init(nn::Network& net, ScConfig cfg,
+                     std::shared_ptr<WeightPlanStore> shared) {
+  net_ = &net;
+  cfg_ = cfg;
   if (cfg_.phase_length() == 0) {
     throw std::invalid_argument("ScNetwork: stream_length must be >= 2");
   }
@@ -472,22 +547,27 @@ StreamBank& ScNetwork::activation_bank() {
 }
 
 const ProductTable& ScNetwork::weight_table(std::size_t stage_idx,
-                                            std::span<const float> weights,
                                             const SegmentSchedule& sched,
                                             const WeightMap& map,
                                             runtime::ThreadPool* pool) {
+  const LoweredOp& op = ops_[stage_idx];
   StageScratch& stage = stage_scratch_[stage_idx];
   const ProductTable* held = stage.table.get();
-  const bool fresh =
-      held != nullptr && held->sched == sched &&
-      held->weights.size() == weights.size() &&
-      (weights.empty() ||
-       std::memcmp(held->weights.data(), weights.data(),
-                   weights.size() * sizeof(float)) == 0);
-  if (!fresh) {
-    stage.table = wgt_plans_->get(stage_idx, sched, map, weights,
-                                  cfg_.plan_budget_bytes, pool);
+  if (held != nullptr && held->sched == sched) {
+    if (owned_ != nullptr) {
+      // Nothing outside can reach the snapshot, so the weights the store
+      // checked when it handed out this table are still the weights.
+      assert(table_encodes(op, *held, wgt_plans_->bank()));
+      return *held;
+    }
+    if (same_weights(op, held->weights)) {
+      return *held;
+    }
   }
+  std::vector<float> folded;
+  stage.table = wgt_plans_->get(stage_idx, sched, map,
+                                stage_weights(op, folded),
+                                cfg_.plan_budget_bytes, pool);
   return *stage.table;
 }
 
@@ -925,8 +1005,7 @@ void ScNetwork::run_conv_planned(const LoweredOp& op, std::size_t op_idx,
   // clones; the activation plan is rebuilt per image into the stage's
   // retained plan object, allocation-free across an evaluation.
   const SegmentSchedule sched{phase, g.window_positions, g.seg};
-  const ProductTable& tbl = weight_table(
-      op_idx, node_weights(op, stage.folded), sched, g.map, pool);
+  const ProductTable& tbl = weight_table(op_idx, sched, g.map, pool);
   if (stage.act_plan == nullptr || stage.act_plan->lanes() != input.size() ||
       !(stage.act_plan->schedule() == sched)) {
     stage.act_plan = std::make_unique<LayerStreamPlan>(
@@ -1085,7 +1164,7 @@ void ScNetwork::run_dense(const LoweredOp& op, std::size_t op_idx,
   // so the reuse is across images; the served bits equal a fill.
   const bool planned = cfg_.exec == ExecMode::kPlanned;
   const ProductTable* tbl =
-      planned ? &weight_table(op_idx, weights, SegmentSchedule{phase, 1, phase},
+      planned ? &weight_table(op_idx, SegmentSchedule{phase, 1, phase},
                               WeightMap::dense(n_out, n_in), pool)
               : nullptr;
   // The scalar oracle regenerates every weight segment at its use.

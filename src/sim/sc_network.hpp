@@ -57,14 +57,31 @@ namespace acoustic::sim {
 
 class ScNetwork {
  public:
+  /// Borrowing form.
   /// @param net trained network; must outlive this object. Weighted layers
   ///            are located with their surrounding ReLU / pooling layers
-  ///            and executed stochastically; weights are read live, so
-  ///            retraining between forward() calls is allowed.
+  ///            and executed stochastically. Weights are read live: every
+  ///            forward compares each stage's weights (BN-folded where a
+  ///            BatchNorm is absorbed) against its held table in one pass,
+  ///            so retraining between forward() calls is allowed.
   /// @param shared weight-plan store to share with sibling clones (see
   ///            shared_plans()); nullptr creates a fresh one.
   ScNetwork(nn::Network& net, ScConfig cfg,
             std::shared_ptr<WeightPlanStore> shared = nullptr);
+
+  /// Owning form: takes @p snapshot and offers no mutable way back to it,
+  /// so its weights never change. Each stage checks them against the
+  /// store once per schedule (input size); after that a forward reuses the
+  /// held table in O(1), with no fold and no compare. Debug builds still
+  /// compare every forward and assert the table holds. Otherwise
+  /// bit-identical to the borrowing form over equal weights.
+  ScNetwork(nn::Network&& snapshot, ScConfig cfg,
+            std::shared_ptr<WeightPlanStore> shared = nullptr);
+
+  /// An owning executor over a snapshot of this executor's network (its
+  /// weights as they are now), with the same config and store: fresh
+  /// scratch, zeroed stats, no profiler.
+  [[nodiscard]] ScNetwork clone() const;
 
   /// The weight-plan store this executor draws from. Pass it to the
   /// ScNetwork of a clone (built with the same config) so each stage's
@@ -191,20 +208,17 @@ class ScNetwork {
   /// and rebuilt in place (build() overwrites every lane).
   struct StageScratch {
     std::unique_ptr<LayerStreamPlan> act_plan;
-    /// The stage's shared product table. Each forward memcmps the live
-    /// weights against the floats it encodes — for a conv with a folded
-    /// BatchNorm, the FOLDED weights (w * scale(oc)), so BN retraining
-    /// refreshes it exactly like conv retraining does. The guard keeps the
-    /// "weights are read live" contract while skipping thousands of
-    /// quantize calls per image.
+    /// The stage's shared product table, as last handed out by the store
+    /// (see weight_table()). No folded copy of the weights is kept: the
+    /// borrowing form compares the live weights against the floats the
+    /// table encodes with the BatchNorm scale applied on the fly, and only
+    /// a store consult folds, into a transient buffer.
     std::shared_ptr<const ProductTable> table;
-    /// Folded-weight staging buffer (conv nodes with an absorbed
-    /// BatchNorm): recomputed every forward — one multiply per weight —
-    /// into retained capacity, so steady state stays allocation-free.
-    /// prepare() folds into a local buffer instead, so an executor that
-    /// only prepares keeps no copy.
-    std::vector<float> folded;
   };
+
+  /// Both constructors' body: lowers @p net and attaches the store.
+  void init(nn::Network& net, ScConfig cfg,
+            std::shared_ptr<WeightPlanStore> shared);
 
   void run_conv(const LoweredOp& op, std::size_t op_idx,
                 const nn::Tensor& input, nn::Tensor& out, Stats& run);
@@ -242,19 +256,23 @@ class ScNetwork {
   /// content). The weight bank is the store's: wgt_plans_->bank().
   [[nodiscard]] StreamBank& activation_bank();
 
-  /// The stage's product table from the shared store. A clone goes back to
-  /// the store only when @p weights differ bitwise from the ones its held
-  /// table encodes (retraining) or the schedule changed (a new input
-  /// size), so across a whole evaluation each stage builds once.
-  /// The build's kernel bits are amortized capital cost and excluded from
-  /// per-run stats (stats stay a pure function of the sample set).
+  /// The stage's product table from the shared store. The executor goes
+  /// back to the store only when the schedule changed (a new input size)
+  /// or, in the borrowing form, when the stage's live weights differ
+  /// bitwise from the ones the held table encodes (retraining). The owning
+  /// form returns the held table for its schedule without looking at the
+  /// weights. Across a whole evaluation each stage builds once. The build's
+  /// kernel bits are amortized capital cost and excluded from per-run
+  /// stats (stats stay a pure function of the sample set).
   [[nodiscard]] const ProductTable& weight_table(std::size_t stage_idx,
-                                                 std::span<const float> weights,
                                                  const SegmentSchedule& sched,
                                                  const WeightMap& map,
                                                  runtime::ThreadPool* pool);
 
-  nn::Network* net_;
+  /// The owning form's snapshot; nullptr in the borrowing form.
+  std::unique_ptr<nn::Network> owned_;
+  /// The executed network: *owned_, or the borrowed one.
+  nn::Network* net_ = nullptr;
   ScConfig cfg_;
   std::vector<LoweredOp> ops_;
   Stats stats_;

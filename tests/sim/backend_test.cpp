@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 
+#include "nn/activation.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/pool.hpp"
 #include "sim/bipolar_network.hpp"
 #include "sim/sc_network.hpp"
 #include "train/dataset.hpp"
@@ -77,6 +81,32 @@ TEST(Backend, BipolarMatchesRawBipolarNetwork) {
   }
 }
 
+/// conv + BatchNorm + avg pool + ReLU + dense over 8x8x2 inputs: the
+/// smallest net whose SC lowering folds a BatchNorm into a conv stage.
+nn::Network make_bn_net() {
+  nn::Network net;
+  auto& conv = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 2, .out_channels = 4, .kernel = 3, .padding = 1});
+  auto& bn = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4});
+  net.add<nn::AvgPool2D>(2);
+  net.add<nn::ReLU>();
+  auto& dense =
+      net.add<nn::Dense>(nn::DenseSpec{.in_features = 64, .out_features = 5});
+  conv.initialize(31);
+  bn.initialize(32);
+  dense.initialize(33);
+  return net;
+}
+
+bool any_differs(const nn::Tensor& a, const nn::Tensor& b) {
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    if (a.data()[i] != b.data()[i]) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(Backend, SnapshotsWeightsAtConstruction) {
   // The raw executors read weights live; the backend adapters instead
   // clone the network, so later mutation of the source must not change
@@ -91,6 +121,42 @@ TEST(Backend, SnapshotsWeightsAtConstruction) {
     }
   }
   expect_same_tensor(backend->forward(sample.image), before);
+
+  // The same for the stochastic adapters, through the conv weights and a
+  // BatchNorm gamma (which the SC lowering folds into the conv's weight
+  // levels). The SC backend's executor reuses its tables without
+  // re-reading its weights, which is sound only because of this.
+  nn::Tensor input(nn::Shape{8, 8, 2});
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<float>((i * 37) % 101) / 100.0f;
+  }
+  BipolarConfig bipolar_cfg;
+  bipolar_cfg.stream_length = 32;
+  for (const char* name : {"sc", "sc-mux", "bipolar"}) {
+    SCOPED_TRACE(name);
+    nn::Network source = make_bn_net();
+    const auto sc = make_backend(name, source, small_sc(), bipolar_cfg);
+    const nn::Tensor first = sc->forward(input);
+    for (std::size_t i = 0; i < source.layer_count(); ++i) {
+      nn::Layer& layer = source.layer(i);
+      if (layer.kind() == nn::Layer::Kind::kConv2D) {
+        for (float& w : static_cast<nn::Conv2D&>(layer).weights()) {
+          w = -w;
+        }
+      } else if (layer.kind() == nn::Layer::Kind::kBatchNorm) {
+        const std::span<float> gamma =
+            static_cast<nn::BatchNorm&>(layer).gamma();
+        gamma[1] = -2.0f * gamma[1];
+      }
+    }
+    expect_same_tensor(sc->forward(input), first);
+    expect_same_tensor(sc->clone()->forward(input), first);
+    // The mutation is not a no-op: a backend over the mutated source
+    // computes something else.
+    EXPECT_TRUE(any_differs(
+        make_backend(name, source, small_sc(), bipolar_cfg)->forward(input),
+        first));
+  }
 }
 
 TEST(Backend, CloneProducesIdenticalOutputs) {

@@ -11,7 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "core/diagnostics.hpp"
 #include "nn/activation.hpp"
@@ -350,6 +354,152 @@ TEST(ScGolden, SharedStoreKeysOnSignPhase) {
                                 ", round " + std::to_string(round);
       expect_matches_own_oracle(a, net, input, "original, " + label);
       expect_matches_own_oracle(b, other, input, "flipped, " + label);
+    }
+  }
+}
+
+/// conv + BatchNorm + fused 2x2 avg pool + ReLU + conv + BatchNorm: two
+/// BN-folded stages, fully convolutional so any even or odd side runs.
+nn::Network make_bn_conv_net() {
+  nn::Network net;
+  auto& conv1 = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 2, .out_channels = 4, .kernel = 3, .padding = 1,
+      .mode = nn::AccumMode::kOrExact});
+  auto& bn1 = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 4});
+  net.add<nn::AvgPool2D>(2);
+  net.add<nn::ReLU>();
+  auto& conv2 = net.add<nn::Conv2D>(nn::ConvSpec{
+      .in_channels = 4, .out_channels = 3, .kernel = 3, .padding = 1,
+      .mode = nn::AccumMode::kOrExact});
+  auto& bn2 = net.add<nn::BatchNorm>(nn::BatchNormSpec{.channels = 3});
+  conv1.initialize(181);
+  bn1.initialize(182);
+  conv2.initialize(183);
+  bn2.initialize(184);
+  return net;
+}
+
+bool bytes_differ(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.shape() != b.shape() ||
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) != 0;
+}
+
+TEST(ScGolden, BorrowingExecutorSeesWritesThroughHeldSpans) {
+  // The borrowing executor reads weights live: spans to a BN gamma and to
+  // a BN-folded conv's weights, taken before its first forward and
+  // written through between forwards, must change what the next forward
+  // computes, exactly as a fresh scalar oracle computes it.
+  nn::Network net = make_bn_conv_net();
+  std::span<float> gamma;
+  std::span<float> w;
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    nn::Layer& layer = net.layer(i);
+    if (layer.kind() == nn::Layer::Kind::kBatchNorm && gamma.empty()) {
+      gamma = static_cast<nn::BatchNorm&>(layer).gamma();
+    } else if (layer.kind() == nn::Layer::Kind::kConv2D && w.empty()) {
+      w = static_cast<nn::Conv2D&>(layer).weights();
+    }
+  }
+  ASSERT_GT(gamma.size(), 2u);
+  ASSERT_GT(w.size(), 1u);
+  ScNetwork exec(net, golden_config());
+  const nn::Tensor input = random_unit(nn::Shape{8, 8, 2}, 185);
+  const std::function<void()> writes[] = {
+      [&] { gamma[1] = -gamma[1]; },                 // sign phase flips
+      [&] { w[0] = w[0] > 0.0f ? -0.75f : 0.75f; },  // one conv weight
+      [&] { gamma[2] *= 0.25f; },                    // magnitude only
+  };
+  ScConfig scalar_cfg = golden_config();
+  scalar_cfg.exec = ExecMode::kScalar;
+  nn::Tensor prev = exec.forward(input);
+  for (std::size_t k = 0; k < std::size(writes); ++k) {
+    const std::string label = "write " + std::to_string(k);
+    writes[k]();
+    const nn::Tensor got = exec.forward(input);
+    ScNetwork oracle(net, scalar_cfg);
+    expect_bytes_equal(got, oracle.forward(input), label);
+    EXPECT_TRUE(bytes_differ(got, prev)) << label;
+    const core::Report report = exec.validate_plans();
+    EXPECT_TRUE(report.clean()) << label << ":\n" << report.to_string();
+    prev = got;
+  }
+}
+
+void expect_same_stats(const ScNetwork::Stats& got,
+                       const ScNetwork::Stats& want,
+                       const std::string& label) {
+  EXPECT_EQ(got.product_bits, want.product_bits) << label;
+  EXPECT_EQ(got.layers_run, want.layers_run) << label;
+  EXPECT_EQ(got.skipped_operands, want.skipped_operands) << label;
+  EXPECT_EQ(got.stream_bits_generated, want.stream_bits_generated) << label;
+  EXPECT_EQ(got.stream_bits_reused, want.stream_bits_reused) << label;
+  EXPECT_EQ(got.plan_hits, want.plan_hits) << label;
+  EXPECT_EQ(got.plan_misses, want.plan_misses) << label;
+  EXPECT_EQ(got.scratch_bytes, want.scratch_bytes) << label;
+}
+
+TEST(ScGolden, SnapshotExecutorMatchesBorrowing) {
+  // The owning form (over a snapshot) skips the per-forward weight check
+  // once a stage holds its table. Over equal weights it must compute the
+  // borrowing form's bytes and stats, build nothing after warm-up, re-key
+  // on a new input size, and stay exact when clones run concurrently on
+  // one shared store.
+  nn::Network net = make_bn_conv_net();
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string tag = "threads=" + std::to_string(threads);
+    ScConfig cfg = golden_config();
+    cfg.intra_threads = threads;
+    ScNetwork borrowing(net, cfg);
+    ScNetwork owning(net.clone(), cfg, borrowing.shared_plans());
+    const WeightPlanStore& store = *borrowing.shared_plans();
+    std::vector<nn::Tensor> images;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      images.push_back(random_unit(nn::Shape{8, 8, 2}, 190 + i));
+    }
+    std::vector<nn::Tensor> want;
+    std::uint64_t warm_builds = 0;
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      const std::string label = tag + " image " + std::to_string(i);
+      want.push_back(borrowing.forward(images[i]));
+      expect_bytes_equal(owning.forward(images[i]), want.back(), label);
+      expect_same_stats(owning.take_stats(), borrowing.take_stats(), label);
+      if (i == 0) {
+        warm_builds = store.builds();
+      }
+    }
+    EXPECT_EQ(store.builds(), warm_builds) << tag;
+    for (ScNetwork* exec : {&borrowing, &owning}) {
+      const core::Report report = exec->validate_plans();
+      EXPECT_TRUE(report.clean()) << tag << ":\n" << report.to_string();
+    }
+
+    // A 7x7 input does not tile the fused pool: a new schedule, which the
+    // owning form must fetch rather than serve from its held table.
+    for (const int side : {7, 8}) {
+      const nn::Tensor x = random_unit(nn::Shape{side, side, 2}, 199);
+      expect_bytes_equal(owning.forward(x), borrowing.forward(x),
+                         tag + " side " + std::to_string(side));
+    }
+
+    // Concurrent owning clones of the owning executor, one shared store.
+    runtime::ThreadPool pool(4);
+    std::vector<std::unique_ptr<ScNetwork>> clones;
+    for (int c = 0; c < 4; ++c) {
+      clones.push_back(std::make_unique<ScNetwork>(owning.clone()));
+    }
+    std::vector<std::vector<nn::Tensor>> got(clones.size());
+    pool.parallel_for(clones.size(), [&](std::size_t c, unsigned /*w*/) {
+      for (const nn::Tensor& x : images) {
+        got[c].push_back(clones[c]->forward(x));
+      }
+    });
+    for (std::size_t c = 0; c < clones.size(); ++c) {
+      for (std::size_t i = 0; i < images.size(); ++i) {
+        expect_bytes_equal(got[c][i], want[i],
+                           tag + " clone " + std::to_string(c) + " image " +
+                               std::to_string(i));
+      }
     }
   }
 }
