@@ -23,8 +23,6 @@
 // trajectories exactly like latency ones. Accuracies are deterministic
 // (MAD 0 by construction); comparisons fall back to the relative floor.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -33,6 +31,7 @@
 #include "obs/bench_harness.hpp"
 #include "sim/backend.hpp"
 #include "sim/batch_evaluator.hpp"
+#include "tools/cli_flags.hpp"
 #include "train/models.hpp"
 #include "train/trainer.hpp"
 
@@ -54,16 +53,15 @@ struct Row {
 int main(int argc, char** argv) {
   unsigned threads = 0;  // hardware concurrency
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: table2_accuracy [--threads N] [--json PATH]\n");
-      return 2;
-    }
+  tools::FlagTable flags("table2_accuracy");
+  flags
+      .count("--threads", threads, 0, tools::kMaxThreads,
+             "evaluator workers, 0 = all hardware threads")
+      .text("--json", json_path, "PATH", "write the bench.v1 document");
+  if (const std::string error = flags.parse(argc, argv, 1); !error.empty()) {
+    std::fprintf(stderr, "table2_accuracy: %s\n%s", error.c_str(),
+                 flags.usage().c_str());
+    return 2;
   }
 
   std::printf("=== Table II: accuracy comparisons ===\n\n");

@@ -656,6 +656,7 @@ void ScNetwork::forward_into(const nn::Tensor& input, nn::Tensor& out) {
   // Per-run accounting: the hot loops below write into `run` (and locals),
   // never into stats_, so evaluator clones share nothing mutable.
   Stats run;
+  run.samples = 1;
   // One scratch epoch per forward: the first call grows the arena to the
   // network's high-water mark, every later call only bumps pointers.
   arena_.reset();

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "core/accelerator.hpp"
 #include "isa/analysis/analyzer.hpp"
@@ -15,6 +19,7 @@
 #include "sc/rng.hpp"
 #include "sc/sng.hpp"
 #include "sim/stream_bank.hpp"
+#include "tools/cli_options.hpp"
 
 namespace acoustic {
 namespace {
@@ -626,6 +631,232 @@ TEST(StreamBankProperties, NaiveSharingIsMaximallyCorrelated) {
   sim::StreamBank good(12, 0xACE1, 4096, /*decorrelate=*/true);
   EXPECT_NE(good.stream(half, 0), good.stream(half, 5));
 }
+
+// ---------------------------------------------------------------------
+// Hostile command lines: every subcommand's flag table yields values
+// inside its declared ranges or a diagnostic. It never throws and never
+// starts a thread. The ranges are restated here, not read from the tables.
+// ---------------------------------------------------------------------
+
+/// Threads of this process, or 0 where /proc is unavailable.
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoul(line.substr(8));
+    }
+  }
+  return 0;
+}
+
+bool finite_in(double v, double lo, double hi) {
+  return std::isfinite(v) && v >= lo && v <= hi;
+}
+
+/// Parses @p args with a fresh table; checks the values it accepted.
+using CliParse = std::function<std::string(const std::vector<std::string>&)>;
+
+std::string run_table(tools::FlagTable table,
+                      const std::vector<std::string>& args) {
+  std::vector<const char*> argv;
+  for (const std::string& a : args) {
+    argv.push_back(a.c_str());
+  }
+  return table.parse(static_cast<int>(argv.size()), argv.data(), 0);
+}
+
+struct CliCase {
+  const char* name;
+  std::function<std::string()> usage;
+  CliParse parse;
+};
+
+std::vector<CliCase> cli_cases() {
+  constexpr std::uint64_t kStream = std::uint64_t{1} << 24;
+  return {
+      {"eval",
+       [] {
+         tools::EvalOptions o;
+         return tools::eval_flags(o).usage();
+       },
+       [=](const std::vector<std::string>& args) {
+         tools::EvalOptions o;
+         std::string error = run_table(tools::eval_flags(o), args);
+         if (error.empty()) {
+           EXPECT_LE(o.threads, 1024u);
+           EXPECT_LE(o.intra_threads, 1024u);
+           EXPECT_TRUE(o.side >= 0 && o.side <= 1024);
+           EXPECT_LE(o.stream, kStream);
+           EXPECT_LE(o.train_count, 1'000'000u);
+           EXPECT_LE(o.test_count, 1'000'000u);
+           EXPECT_TRUE(o.epochs >= 0 && o.epochs <= 10'000);
+           EXPECT_TRUE(o.exec == "planned" || o.exec == "scalar");
+           EXPECT_TRUE(o.pool_mode == "exact" || o.pool_mode == "sc");
+         }
+         return error;
+       }},
+      {"bench",
+       [] {
+         tools::BenchCliOptions o;
+         return tools::bench_flags(o).usage();
+       },
+       [=](const std::vector<std::string>& args) {
+         tools::BenchCliOptions o;
+         std::string error = run_table(tools::bench_flags(o), args);
+         if (error.empty()) {
+           EXPECT_TRUE(o.iters >= -1 && o.iters <= 1'000'000);
+           EXPECT_TRUE(o.warmup >= -1 && o.warmup <= 1'000'000);
+           EXPECT_LE(o.suite.stream, kStream);
+           EXPECT_LE(o.suite.threads_max, 1024u);
+           EXPECT_TRUE(finite_in(o.compare.noise_mult, 0.0, 1e6));
+           EXPECT_TRUE(finite_in(o.compare.rel_floor, 0.0, 1e6));
+         }
+         return error;
+       }},
+      {"check",
+       [] {
+         tools::CheckCliOptions o;
+         return tools::check_flags(o).usage();
+       },
+       [=](const std::vector<std::string>& args) {
+         tools::CheckCliOptions o;
+         std::string error = run_table(tools::check_flags(o), args);
+         if (error.empty()) {
+           EXPECT_FALSE(o.name.empty());
+           EXPECT_TRUE(o.target == "sc" || o.target == "perf");
+           EXPECT_LE(o.options.sc.stream_length, kStream);
+           EXPECT_LE(o.options.sc.sng_width, 64u);
+           EXPECT_TRUE(finite_in(o.options.saturation_threshold, 0.0, 1.0));
+         }
+         return error;
+       }},
+      {"lint",
+       [] {
+         tools::LintCliOptions o;
+         return tools::lint_flags(o).usage();
+       },
+       [](const std::vector<std::string>& args) {
+         tools::LintCliOptions o;
+         std::string error = run_table(tools::lint_flags(o), args);
+         if (error.empty()) {
+           EXPECT_FALSE(o.target.empty());
+           EXPECT_TRUE(o.arch == "lp" || o.arch == "ulp");
+         }
+         return error;
+       }},
+      {"simulate",
+       [] {
+         tools::PerfCliOptions o;
+         return tools::perf_flags(o, "simulate").usage();
+       },
+       [=](const std::vector<std::string>& args) {
+         tools::PerfCliOptions o;
+         std::string error = run_table(tools::perf_flags(o, "simulate"), args);
+         if (error.empty()) {
+           EXPECT_FALSE(o.network.empty());
+           EXPECT_TRUE(o.arch == "lp" || o.arch == "ulp");
+           EXPECT_TRUE(o.batch >= 1 && o.batch <= 65'536);
+           EXPECT_TRUE(finite_in(o.clock_mhz, 1e-3, 1e6));
+           EXPECT_LE(o.stream, kStream);
+         }
+         return error;
+       }},
+  };
+}
+
+/// The flags a usage text lists, with whether each takes a number.
+std::vector<std::pair<std::string, bool>> usage_flags(const std::string& u) {
+  std::vector<std::pair<std::string, bool>> out;
+  std::size_t pos = 0;
+  while ((pos = u.find("\n  --", pos)) != std::string::npos) {
+    const std::size_t start = pos + 3;
+    const std::size_t end = u.find_first_of(" \n", start);
+    const std::string meta = u.substr(end + 1, 2);
+    out.emplace_back(u.substr(start, end - start),
+                     meta == "N " || meta == "F ");
+    pos = end;
+  }
+  return out;
+}
+
+const char* const kHostileValues[] = {
+    "-1", "4294967296", "18446744073709551616", "1e999", "nan", "inf",
+    "12x", "", " 7", "+3", "0x10", "-0", "1e3"};
+const char* const kPlainValues[] = {
+    "0", "1", "2", "12", "784", "1024", "1025", "0.5", "lp", "ulp", "sc",
+    "perf", "planned", "scalar", "exact", "hbm", "lenet5", "zoo", "-",
+    "out.json"};
+
+TEST(CliFlags, EveryNumericFlagRefusesHostileValues) {
+  const std::size_t threads = thread_count();
+  std::size_t numeric = 0;
+  for (const CliCase& c : cli_cases()) {
+    for (const auto& [flag, takes_number] : usage_flags(c.usage())) {
+      if (!takes_number) {
+        continue;
+      }
+      ++numeric;
+      for (const char* value : {"-1", "4294967296", "1e999", "nan", "12x",
+                                "", "inf", "0x10"}) {
+        const std::string error = c.parse({flag, value, "lenet5"});
+        EXPECT_EQ(error.rfind(flag + ": ", 0), 0u)
+            << c.name << " " << flag << " '" << value << "': " << error;
+      }
+      EXPECT_EQ(c.parse({flag}).rfind(flag + ": missing value", 0), 0u)
+          << c.name << " " << flag;
+    }
+    EXPECT_EQ(c.parse({"--no-such-flag"}), "unknown option '--no-such-flag'")
+        << c.name;
+  }
+  EXPECT_GE(numeric, 19u);  // eval 7, bench 6, check 3, simulate 3
+  EXPECT_EQ(thread_count(), threads);
+}
+
+class CliFuzzTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(CliFuzzTest, RandomArgvParsesInRangeOrFails) {
+  const std::size_t threads = thread_count();
+  sc::XorShift32 rng(GetParam());
+  const auto pick = [&rng](const auto& pool) {
+    return std::string(pool[rng.next() % std::size(pool)]);
+  };
+  for (const CliCase& c : cli_cases()) {
+    std::vector<std::string> names;
+    for (const auto& [flag, takes_number] : usage_flags(c.usage())) {
+      names.push_back(flag);
+    }
+    names.push_back("--no-such-flag");
+    std::size_t accepted = 0;
+    for (int round = 0; round < 400; ++round) {
+      std::vector<std::string> args;
+      const std::size_t len = 1 + rng.next() % 7;
+      for (std::size_t i = 0; i < len; ++i) {
+        switch (rng.next() % 4) {
+          case 0:
+            args.push_back(pick(kHostileValues));
+            break;
+          case 1:
+            args.push_back(pick(kPlainValues));
+            break;
+          default:
+            args.push_back(pick(names));
+            break;
+        }
+      }
+      std::string error;
+      ASSERT_NO_THROW(error = c.parse(args)) << c.name;
+      accepted += error.empty() ? 1 : 0;
+    }
+    // The generator must reach both outcomes, or it tests nothing.
+    EXPECT_GT(accepted, 0u) << c.name;
+    EXPECT_LT(accepted, 400u) << c.name;
+  }
+  EXPECT_EQ(thread_count(), threads);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CliFuzzTest,
+                         ::testing::Values(1u, 7u, 42u, 1234u, 99991u));
 
 }  // namespace
 }  // namespace acoustic

@@ -1,102 +1,17 @@
-// acoustic — command-line driver for the reproduction.
+// acoustic — the command-line tool of the reproduction: the model zoo
+// (list), the ACOUSTIC assembly and its static analyzer (compile, lint),
+// the performance/energy simulator (simulate, breakdown), the
+// network-level SC analyzer (check), dataset evaluation on the inference
+// backends (eval) and the benchmark harness (bench). Running `acoustic`
+// alone prints every subcommand's flags; tools/cli_options.cpp declares
+// them, with their ranges and help.
 //
-//   acoustic list
-//       Show the model-zoo workloads with their MAC/weight footprints.
-//   acoustic compile <network> [--arch lp|ulp]
-//       Print the ACOUSTIC assembly for a workload.
-//   acoustic simulate <network> [--arch lp|ulp] [--batch N] [--clock MHZ]
-//                     [--stream N] [--dram ddr3-800..ddr3-2133|hbm]
-//                     [--trace] [--layers] [--metrics] [--json]
-//                     [--prometheus] [--trace-json FILE]
-//       Run the performance + energy simulation; --trace adds the per-unit
-//       Gantt chart of the dispatcher overlap, --layers the per-layer
-//       bottleneck table. --metrics collects the cycle/unit/DRAM/energy
-//       counters into the telemetry registry (text table, or one JSON
-//       document with --json, or Prometheus text format with
-//       --prometheus). --trace-json writes the instruction trace as
-//       Chrome trace-event JSON (one track per control unit, cycle
-//       timebase) for ui.perfetto.dev.
-//   acoustic breakdown [--arch lp|ulp]
-//       Print the Fig. 5 area/power breakdowns.
-//   acoustic lint <program.acasm|network> [--arch lp|ulp] [--werror]
-//                 [--json]
-//       Statically analyze an assembly file ('-' reads stdin) or the
-//       program generated for a model-zoo network: loop balance, barrier
-//       placement, scratchpad/weight-memory bounds, counter ordering,
-//       dead weight loads. Exits 1 on errors (with --werror, on any
-//       warning). --json prints the diagnostics as the shared JSON
-//       report format on stdout instead of the text rendering.
-//   acoustic check <network|zoo|lenet|cifar|resnet-tiny>
-//                  [--target sc|perf] [--stream N] [--width N]
-//                  [--threshold X] [--no-probe] [--werror] [--json]
-//       Network-level SC static analyzer: graph/shape inference over the
-//       zoo descriptors (or all of them with 'zoo'), SNG seed and LFSR
-//       period analysis, OR-accumulation saturation bounds, quantization
-//       range rules, and — for the trainable models lenet/cifar/
-//       resnet-tiny — weight scans plus an executed plan-invariant
-//       probe. --target perf restricts to the structural rules the
-//       performance simulator needs. Exits 1 on errors (with --werror,
-//       on any warning).
-//   acoustic eval [--backend float|sc|sc-mux|bipolar]
-//                 [--model lenet|cifar|cifar-max|resnet-tiny|<zoo network>]
-//                 [--threads N] [--intra-threads N] [--exec planned|scalar]
-//                 [--pool-mode exact|sc] [--side N]
-//                 [--stream N] [--train N] [--test N]
-//                 [--epochs N] [--json] [--metrics] [--profile]
-//                 [--prometheus] [--trace-json FILE] [--verbose]
-//       Train a small network on a synthetic dataset and evaluate it with
-//       the selected inference backend on the parallel batch evaluator.
-//       --model also accepts any zoo workload (lenet5, cifar10, svhn,
-//       alexnet, vgg16, resnet18): the network is built untrained from its
-//       shape descriptor at --side (default 16) and run end to end through
-//       the graph executor — residual blocks, grouped convs and batch norm
-//       included. The trainable variants cifar-max (max pooling) and
-//       resnet-tiny (one residual block) exercise the stochastic max and
-//       skip-connection stages with real trained weights. --pool-mode
-//       selects MaxPool2D execution: "exact" binary max (default) or
-//       "sc", the bit-serial stochastic max FSM.
-//   acoustic bench [--suite NAME]... [--quick] [--iters N] [--warmup N]
-//                  [--stream N] [--threads-max N] [--json FILE]
-//                  [--compare BASELINE] [--noise F] [--tolerance F]
-//                  [--strict] [--no-counters] [--list]
-//       Run the registered benchmark suites (forward latency, SIMD kernel
-//       table, stream-plan build, batch-eval throughput, thread-scaling
-//       matrix) under the shared
-//       harness: warmup + repetitions, median/MAD statistics, hardware
-//       counters where the host allows them, machine/build metadata — one
-//       bench.v1 trajectory document. --json writes it; --compare reads a
-//       previous document and prints per-entry verdicts
-//       (improved/unchanged/regressed) using MAD-based noise thresholds,
-//       exiting 1 on a regression. Baselines recorded on different
-//       hardware are reported but never gate unless --strict.
-//       ACOUSTIC_BENCH_SLOWDOWN=<factor> stretches every timed iteration
-//       (the test hook that proves the gate trips).
-//       --threads 0 (default) uses all hardware threads; results are
-//       bit-identical for any thread count. --intra-threads shards each
-//       image's conv rows / dense outputs inside the SC backend (0 =
-//       auto, the default: large layers join the batch evaluator's
-//       work-stealing pool as nested subtasks, small layers stay serial;
-//       1 = always serial, N >= 2 = force). --exec selects the SC execution
-//       strategy: "planned" (packed stream plans, default) or "scalar"
-//       (the reference path; both are bit-identical). --json emits the
-//       structured
-//       EvalResult instead of the human-readable summary. --metrics
-//       routes the run counters through the telemetry registry (with
-//       --json: one uniform document whose "metrics" section is
-//       byte-identical across thread counts; wall-clock data — including
-//       the evaluator's setup/run/reduce phase spans and whole-run
-//       hardware counters — is confined to "timing", and span/dropped
-//       accounting to "trace"). --profile prints the per-layer
-//       wall-time/counter table plus the evaluator phase table,
-//       --trace-json writes the evaluator's wall-clock spans (one track
-//       per worker) as Chrome trace-event JSON with a dropped_events
-//       metadata field, --verbose emits a training/evaluation progress
-//       line plus span/dropped accounting on stderr.
-#include <atomic>
+// Exit codes: 0 success; 1 a failed run, analyzer findings (lint/check;
+// with --werror any warning) or a bench regression; 2 a usage error — an
+// unknown subcommand, flag or target, or a malformed flag value.
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -124,97 +39,111 @@
 #include "sim/backend.hpp"
 #include "sim/batch_evaluator.hpp"
 #include "tools/bench_suites.hpp"
+#include "tools/cli_options.hpp"
 #include "train/dataset.hpp"
 #include "train/models.hpp"
 #include "train/trainer.hpp"
 
 using namespace acoustic;
+using tools::BenchCliOptions;
+using tools::CheckCliOptions;
+using tools::EvalOptions;
+using tools::LintCliOptions;
+using tools::PerfCliOptions;
 
 namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: acoustic <list|compile|simulate|breakdown|lint|eval|"
-               "bench> [network] [options]\n"
-               "  networks: lenet5, cifar10, svhn, alexnet, vgg16, "
-               "resnet18 (suffix '-conv' for conv layers only)\n"
-               "  options: --arch lp|ulp  --batch N  --clock MHZ  "
-               "--stream N\n"
-               "           --dram ddr3-800|...|ddr3-2133|hbm  --trace  "
-               "--layers\n"
-               "           --metrics  --json  --prometheus  "
-               "--trace-json FILE  --no-preflight\n"
-               "  lint: acoustic lint <program.acasm|-|network> "
-               "[--arch lp|ulp] [--werror] [--json]\n"
-               "  check: acoustic check <network|zoo|lenet|cifar|"
-               "resnet-tiny> [--target sc|perf]\n"
-               "         [--stream N] [--width N] [--threshold X] "
-               "[--no-probe] [--werror] [--json]\n"
-               "  eval: acoustic eval [--backend float|sc|sc-mux|bipolar] "
-               "[--model lenet|cifar|<zoo network>]\n"
-               "        [--threads N] [--intra-threads N] "
-               "[--exec planned|scalar]\n"
-               "        [--pool-mode exact|sc] [--side N]\n"
-               "        [--stream N] [--train N] [--test N] "
-               "[--epochs N] [--json]\n"
-               "        [--metrics] [--profile] [--prometheus] "
-               "[--trace-json FILE] [--verbose] [--no-preflight]\n"
-               "  bench: acoustic bench [--suite NAME]... [--quick] "
-               "[--iters N] [--warmup N]\n"
-               "         [--stream N] [--threads-max N] [--json FILE] "
-               "[--compare BASELINE]\n"
-               "         [--noise F] [--tolerance F] [--strict] "
-               "[--no-counters] [--list]\n");
+               "usage: acoustic <list|compile|simulate|breakdown|lint|check|"
+               "eval|bench> ...\n"
+               "  networks: lenet5 cifar10 svhn alexnet vgg16 resnet18; "
+               "'-conv' = conv only\n");
+  PerfCliOptions perf;
+  LintCliOptions lint;
+  CheckCliOptions check;
+  EvalOptions eval;
+  BenchCliOptions bench;
+  for (const tools::FlagTable& table :
+       {tools::perf_flags(perf, "compile|simulate|breakdown"),
+        tools::lint_flags(lint), tools::check_flags(check),
+        tools::eval_flags(eval), tools::bench_flags(bench)}) {
+    std::fprintf(stderr, "%s", table.usage().c_str());
+  }
   return 2;
 }
 
-std::optional<nn::NetworkDesc> find_network(std::string name) {
-  bool conv_only = false;
-  const std::string suffix = "-conv";
-  if (name.size() > suffix.size() &&
-      name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    conv_only = true;
-    name = name.substr(0, name.size() - suffix.size());
-  }
-  std::optional<nn::NetworkDesc> net;
-  if (name == "lenet5") {
-    net = nn::lenet5();
-  } else if (name == "cifar10") {
-    net = nn::cifar10_cnn();
-  } else if (name == "svhn") {
-    net = nn::svhn_cnn();
-  } else if (name == "alexnet") {
-    net = nn::alexnet();
-  } else if (name == "vgg16") {
-    net = nn::vgg16();
-  } else if (name == "resnet18") {
-    net = nn::resnet18();
-  }
-  if (net && conv_only) {
-    net = net->conv_only();
-  }
-  return net;
-}
+/// The Table III model zoo under its CLI names.
+const std::pair<const char*, nn::NetworkDesc (*)()> kZoo[] = {
+    {"lenet5", nn::lenet5},   {"cifar10", nn::cifar10_cnn},
+    {"svhn", nn::svhn_cnn},   {"alexnet", nn::alexnet},
+    {"vgg16", nn::vgg16},     {"resnet18", nn::resnet18}};
 
-std::optional<perf::DramSpec> find_dram(const std::string& name) {
-  for (const perf::DramSpec& spec : perf::figure4_interfaces()) {
-    std::string lowered = spec.name;
-    for (char& c : lowered) {
-      c = static_cast<char>(std::tolower(c));
-    }
-    if (lowered == name) {
-      return spec;
+/// A zoo network by name; the suffix "-conv" keeps its conv layers only.
+std::optional<nn::NetworkDesc> find_network(std::string name) {
+  const std::string suffix = "-conv";
+  const bool conv_only =
+      name.size() > suffix.size() && name.ends_with(suffix);
+  if (conv_only) {
+    name.resize(name.size() - suffix.size());
+  }
+  for (const auto& [zoo_name, make] : kZoo) {
+    if (name == zoo_name) {
+      return conv_only ? make().conv_only() : make();
     }
   }
   return std::nullopt;
 }
 
+/// Synthetic images: seven-segment digits (1 channel) or colored
+/// textures (3 channels).
+train::Dataset synth_dataset(int channels, std::size_t count,
+                             std::uint32_t seed, int side) {
+  return channels == 1 ? train::make_synth_digits(count, seed, side)
+                       : train::make_synth_objects(count, seed, side);
+}
+
+/// The trainable small models `eval` trains and `check` scans, each with
+/// a 16x16 input and its synthetic dataset.
+struct SmallModel {
+  const char* name;
+  nn::Network (*build)(nn::AccumMode mode);
+  int channels;
+  std::uint32_t train_seed;
+  std::uint32_t test_seed;
+
+  [[nodiscard]] nn::Shape input() const { return {16, 16, channels}; }
+};
+
+const SmallModel kSmallModels[] = {
+    {"lenet",
+     [](nn::AccumMode m) { return train::build_lenet_small(m); }, 1, 42,
+     999},
+    {"cifar",
+     [](nn::AccumMode m) { return train::build_cifar_small(m); }, 3, 11,
+     777},
+    {"cifar-max",
+     [](nn::AccumMode m) { return train::build_cifar_small_maxpool(m); }, 3,
+     11, 777},
+    {"resnet-tiny",
+     [](nn::AccumMode m) { return train::build_resnet_tiny(m); }, 3, 11,
+     777},
+};
+
+const SmallModel* find_small_model(const std::string& name) {
+  for (const SmallModel& model : kSmallModels) {
+    if (name == model.name) {
+      return &model;
+    }
+  }
+  return nullptr;
+}
+
 int cmd_list() {
   core::Table table({"network", "layers", "MACs", "weights",
                      "conv MACs", "FC MACs"});
-  for (const auto& net :
-       {nn::lenet5(), nn::cifar10_cnn(), nn::svhn_cnn(), nn::alexnet(),
-        nn::vgg16(), nn::resnet18()}) {
+  for (const auto& [zoo_name, make] : kZoo) {
+    const nn::NetworkDesc net = make();
     table.add_row({net.name, std::to_string(net.layers.size()),
                    core::format_number(
                        static_cast<double>(net.total_macs()), 4),
@@ -232,8 +161,9 @@ int cmd_list() {
 /// `acoustic lint`: run the ISA static analyzer over an assembly file, a
 /// program read from stdin ('-'), or the program codegen emits for a
 /// model-zoo network, against the bounds of the selected architecture.
-int cmd_lint(const std::string& target, const perf::ArchConfig& arch,
-             bool werror, bool json) {
+int cmd_lint(const LintCliOptions& opt) {
+  const std::string& target = opt.target;
+  const perf::ArchConfig arch = tools::machine(opt.arch);
   isa::Program program;
   if (const std::optional<nn::NetworkDesc> net = find_network(target)) {
     try {
@@ -244,24 +174,16 @@ int cmd_lint(const std::string& target, const perf::ArchConfig& arch,
       return 1;
     }
   } else {
-    std::string text;
-    if (target == "-") {
-      std::ostringstream buffer;
-      buffer << std::cin.rdbuf();
-      text = buffer.str();
-    } else {
-      std::ifstream file(target);
-      if (!file) {
-        std::fprintf(stderr, "lint: cannot open '%s' (not a file or a "
-                     "known network)\n", target.c_str());
-        return 2;
-      }
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      text = buffer.str();
+    std::ifstream file;
+    if (target != "-" && (file.open(target), !file)) {
+      std::fprintf(stderr, "lint: cannot open '%s' (not a file or a "
+                   "known network)\n", target.c_str());
+      return 2;
     }
+    std::ostringstream text;
+    text << (target == "-" ? std::cin.rdbuf() : file.rdbuf());
     try {
-      program = isa::parse(text);
+      program = isa::parse(text.str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s: %s\n", target.c_str(), e.what());
       return 1;
@@ -269,11 +191,12 @@ int cmd_lint(const std::string& target, const perf::ArchConfig& arch,
   }
   const isa::analysis::Report report =
       isa::analysis::analyze(program, {perf::machine_limits(arch)});
-  if (json) {
+  const int status = (!report.ok() || (opt.werror && !report.clean())) ? 1 : 0;
+  if (opt.json) {
     // Machine-readable mode: stdout carries exactly the shared JSON report
     // format (the same core::to_json that `acoustic check --json` emits).
     std::printf("%s\n", core::to_json(report).c_str());
-    return (!report.ok() || (werror && !report.clean())) ? 1 : 0;
+    return status;
   }
   for (const auto& diag : report.diagnostics()) {
     std::fprintf(stderr, "%s: %s\n", target.c_str(),
@@ -282,50 +205,41 @@ int cmd_lint(const std::string& target, const perf::ArchConfig& arch,
   std::printf("%s: %zu instruction(s), %zu error(s), %zu warning(s)\n",
               target.c_str(), program.size(), report.error_count(),
               report.warning_count());
-  return (!report.ok() || (werror && !report.clean())) ? 1 : 0;
+  return status;
 }
-
-/// Options of `acoustic check` (and the eval/simulate preflights).
-struct CheckCliOptions {
-  std::string target_name;
-  analysis::CheckOptions options;
-  bool werror = false;
-  bool json = false;
-};
 
 /// `acoustic check`: the network-level SC static analyzer over a zoo
 /// descriptor ('zoo' = all of them under one shared config), or a
-/// trainable small model (lenet / cifar / resnet-tiny) with weight scans
-/// and the executed plan-invariant probe.
+/// trainable small model with weight scans and the executed
+/// plan-invariant probe.
 int cmd_check(const CheckCliOptions& opt) {
   core::Report report;
-  const std::string& name = opt.target_name;
+  const std::string& name = opt.name;
+  analysis::CheckOptions options = opt.options;
+  options.target = opt.target == "perf" ? analysis::CheckTarget::kPerfSim
+                                        : analysis::CheckTarget::kScSim;
   if (name == "zoo") {
     // One config, many models: emit the config findings once up front.
-    if (opt.options.target == analysis::CheckTarget::kScSim) {
-      report.merge(analysis::check_config(opt.options.sc));
+    if (options.target == analysis::CheckTarget::kScSim) {
+      report.merge(analysis::check_config(options.sc));
     }
-    analysis::CheckOptions per_model = opt.options;
+    analysis::CheckOptions per_model = options;
     per_model.include_config = false;
     for (const nn::NetworkDesc& net : nn::table3_workloads()) {
       report.merge(analysis::check_descriptor(net, per_model));
     }
   } else if (const std::optional<nn::NetworkDesc> net = find_network(name)) {
-    report = analysis::check_descriptor(*net, opt.options);
-  } else if (name == "lenet" || name == "cifar" || name == "resnet-tiny") {
-    // Trainable models: built in the OR-approximate training mode the SC
-    // backends evaluate, Kaiming-initialized (deterministic seeds).
-    nn::Network net = name == "lenet"
-                          ? train::build_lenet_small(nn::AccumMode::kOrApprox)
-                      : name == "cifar"
-                          ? train::build_cifar_small(nn::AccumMode::kOrApprox)
-                          : train::build_resnet_tiny(nn::AccumMode::kOrApprox);
-    const nn::Shape input{16, 16, name == "lenet" ? 1 : 3};
-    report = analysis::check_network(net, name, input, opt.options);
+    report = analysis::check_descriptor(*net, options);
+  } else if (const SmallModel* model = find_small_model(name)) {
+    // Built in the OR-approximate training mode the SC backends evaluate,
+    // Kaiming-initialized (deterministic seeds).
+    nn::Network net = model->build(nn::AccumMode::kOrApprox);
+    report = analysis::check_network(net, name, model->input(), options);
   } else {
     std::fprintf(stderr,
                  "check: unknown target '%s' (expected a zoo network, "
-                 "'zoo', or lenet/cifar/resnet-tiny)\n", name.c_str());
+                 "'zoo', or lenet/cifar/cifar-max/resnet-tiny)\n",
+                 name.c_str());
     return 2;
   }
 
@@ -358,28 +272,6 @@ void print_preflight(const core::Report& report, const char* who) {
   }
 }
 
-struct EvalOptions {
-  std::string backend = "sc";
-  std::string model = "lenet";
-  unsigned threads = 0;        // 0 = hardware concurrency
-  unsigned intra_threads = 0;  // SC intra-image workers (0 = auto,
-                               // work-gated on the shared pool; 1 = serial)
-  std::string exec = "planned";
-  std::string pool_mode = "exact";  // MaxPool2D execution: exact | sc
-  int side = 16;  // input side for zoo-descriptor models (0 = native)
-  std::size_t stream = 128;
-  std::size_t train_count = 300;
-  std::size_t test_count = 120;
-  int epochs = 3;
-  bool json = false;
-  bool metrics = false;     ///< route counters through obs::Registry
-  bool profile = false;     ///< per-layer wall-time/counter table
-  bool prometheus = false;  ///< registry in Prometheus text format
-  bool verbose = false;     ///< training log + eval progress on stderr
-  bool preflight = true;    ///< warn-level `acoustic check` before eval
-  std::string trace_json;   ///< Chrome trace-event output path ("" = off)
-};
-
 /// Writes @p content to @p path; reports the failure on stderr.
 bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -392,9 +284,34 @@ bool write_text_file(const std::string& path, const std::string& content) {
   return true;
 }
 
-/// Counters + gauges of @p registry as an aligned two-column table
-/// (histograms are a JSON/Prometheus-only feature for now).
-core::Table metrics_table(const obs::Registry& registry) {
+/// The --trace-json writer of `eval` and `simulate`: writes @p writer to
+/// @p path and says so on stdout (on stderr when stdout carries a JSON or
+/// Prometheus document), warning when @p dropped @p unit fell past the
+/// recording cap.
+bool write_trace(const obs::ChromeTraceWriter& writer,
+                 const std::string& path, bool document_on_stdout,
+                 std::uint64_t dropped, const char* unit) {
+  if (!write_text_file(path, writer.to_string())) {
+    return false;
+  }
+  std::fprintf(document_on_stdout ? stderr : stdout,
+               "trace: wrote %zu event(s) to %s\n", writer.event_count(),
+               path.c_str());
+  if (dropped > 0) {
+    std::fprintf(stderr,
+                 "warning: trace truncated — %" PRIu64 " %s dropped after "
+                 "the recording cap\n", dropped, unit);
+  }
+  return true;
+}
+
+/// Prints @p registry in Prometheus text format, or as the "metrics:"
+/// table of counters and gauges (histograms are JSON/Prometheus only).
+void print_metrics(const obs::Registry& registry, bool prometheus) {
+  if (prometheus) {
+    std::fputs(registry.to_prometheus().c_str(), stdout);
+    return;
+  }
   core::Table table({"metric", "value"});
   for (const auto& [name, value] : registry.counters()) {
     table.add_row({name, std::to_string(value)});
@@ -402,12 +319,61 @@ core::Table metrics_table(const obs::Registry& registry) {
   for (const auto& [name, value] : registry.gauges()) {
     table.add_row({name, core::format_number(value, 6)});
   }
-  return table;
+  std::printf("\nmetrics:\n%s", table.to_string().c_str());
 }
 
-/// `acoustic eval`: train a small synthetic-dataset network, then run it
-/// through the unified backend layer on the parallel batch evaluator.
-int cmd_eval(const EvalOptions& opt) {
+// Hand-built JSON documents: byte layouts that consumers already parse.
+using JsonFields = std::vector<std::pair<std::string, std::string>>;
+
+/// Appends `"key": value` to the object @p doc, on its own line at
+/// @p indent.
+void field(std::string& doc, int indent, const char* key,
+           const std::string& value) {
+  doc += doc.back() == '{' ? "\n" : ",\n";
+  doc.append(static_cast<std::size_t>(indent), ' ');
+  doc += obs::json_quote(key) + ": " + value;
+}
+
+/// {"k": v, ...} on one line.
+std::string inline_object(const JsonFields& fields) {
+  std::string out = "{";
+  for (const auto& [key, value] : fields) {
+    out += (out.size() > 1 ? ", " : "") + obs::json_quote(key) + ": " + value;
+  }
+  return out + "}";
+}
+
+/// @p fields followed by @p row's counters.
+JsonFields with_counters(JsonFields fields, const obs::ProfileRow& row) {
+  for (const auto& [key, value] : row.counters) {
+    fields.emplace_back(key, obs::json_number(value));
+  }
+  return fields;
+}
+
+/// The evaluator's scheduler telemetry as one line, after @p head.
+void print_scheduler(std::FILE* out, const char* head,
+                     const sim::EvalResult& result) {
+  std::fprintf(out,
+               "%s%" PRIu64 " task(s), %" PRIu64 " stolen, occupancy %.2f "
+               "(%u/%u workers busy at peak)\n",
+               head, result.sched.tasks, result.sched.steals,
+               result.sched.occupancy(), result.sched.busy_peak,
+               result.sched.workers);
+}
+
+/// What one `acoustic eval` run measured.
+struct EvalRun {
+  sim::EvalResult result;
+  std::optional<obs::PerfSample> hw;  ///< whole-run hardware counters
+  std::vector<obs::SpanRecord> spans;
+  std::uint64_t dropped_spans = 0;
+};
+
+/// `acoustic eval`, first half: build (and train) the model, then run it
+/// through the unified backend layer on the parallel batch evaluator with
+/// the requested spans and counters attached.
+EvalRun run_eval(const EvalOptions& opt) {
   // Bipolar-MUX computes a plain scaled sum, so its native training mode
   // is kSum (with the gentler schedule the unbounded logits need); every
   // other backend runs the OR-approximate-trained network the paper's
@@ -415,61 +381,17 @@ int cmd_eval(const EvalOptions& opt) {
   const bool bipolar = opt.backend == "bipolar";
   const nn::AccumMode mode =
       bipolar ? nn::AccumMode::kSum : nn::AccumMode::kOrApprox;
+  const bool quiet = opt.json || opt.prometheus;
 
-  train::Dataset tr;
   train::Dataset te;
-  bool zoo = false;  // zoo-descriptor model: untrained, evaluated as-built
-  nn::Shape input_shape{16, 16, 1};
-  nn::Network net = [&] {
-    if (opt.model == "lenet") {
-      tr = train::make_synth_digits(opt.train_count, 42, 16);
-      te = train::make_synth_digits(opt.test_count, 999, 16);
-      input_shape = nn::Shape{16, 16, 1};
-      return train::build_lenet_small(mode, 16);
-    }
-    if (opt.model == "cifar" || opt.model == "cifar-max" ||
-        opt.model == "resnet-tiny") {
-      tr = train::make_synth_objects(opt.train_count, 11, 16);
-      te = train::make_synth_objects(opt.test_count, 777, 16);
-      input_shape = nn::Shape{16, 16, 3};
-      if (opt.model == "cifar-max") {
-        return train::build_cifar_small_maxpool(mode, 16);
-      }
-      if (opt.model == "resnet-tiny") {
-        return train::build_resnet_tiny(mode, 16);
-      }
-      return train::build_cifar_small(mode, 16);
-    }
-    if (const std::optional<nn::NetworkDesc> desc = find_network(opt.model)) {
-      // Full zoo workload built from its shape descriptor at a reduced
-      // input side (Kaiming-initialized, untrained): what `eval` verifies
-      // here is the end-to-end executor — bit determinism across threads
-      // and exec modes — not a trained accuracy figure.
-      zoo = true;
-      nn::ZooBuildOptions zopt;
-      zopt.side = opt.side;
-      zopt.mode = bipolar ? nn::AccumMode::kSum : nn::AccumMode::kOrExact;
-      input_shape = nn::zoo_input_shape(*desc, zopt);
-      te = input_shape.c == 1
-               ? train::make_synth_digits(opt.test_count, 999, input_shape.h)
-               : train::make_synth_objects(opt.test_count, 999,
-                                           input_shape.h);
-      return nn::build_from_descriptor(*desc, zopt);
-    }
-    throw std::invalid_argument("eval: unknown model '" + opt.model +
-                                "' (expected lenet, cifar, cifar-max, "
-                                "resnet-tiny, or a zoo network: lenet5/"
-                                "cifar10/svhn/alexnet/vgg16/resnet18)");
-  }();
-
-  if (zoo) {
-    if (!opt.json && !opt.prometheus) {
-      std::printf("built %s from the zoo descriptor at %dx%dx%d "
-                  "(untrained, %zu layers)...\n", opt.model.c_str(),
-                  input_shape.h, input_shape.w, input_shape.c,
-                  net.layer_count());
-    }
-  } else {
+  nn::Shape input_shape;
+  nn::Network net;
+  if (const SmallModel* model = find_small_model(opt.model)) {
+    net = model->build(mode);
+    input_shape = model->input();
+    te = synth_dataset(model->channels, opt.test_count, model->test_seed, 16);
+    const train::Dataset tr = synth_dataset(
+        model->channels, opt.train_count, model->train_seed, 16);
     train::TrainConfig cfg;
     cfg.epochs = opt.epochs;
     cfg.verbose = opt.verbose;
@@ -477,12 +399,35 @@ int cmd_eval(const EvalOptions& opt) {
       cfg.learning_rate = 0.01f;
       cfg.lr_decay = 0.95f;
     }
-    if (!opt.json && !opt.prometheus) {
+    if (!quiet) {
       std::printf("training %s (%s mode, %d epochs, %zu samples)...\n",
                   opt.model.c_str(), bipolar ? "sum" : "or-approx",
                   cfg.epochs, tr.size());
     }
     (void)train::fit(net, tr, cfg);
+  } else if (const std::optional<nn::NetworkDesc> desc =
+                 find_network(opt.model)) {
+    // Full zoo workload built from its shape descriptor at a reduced
+    // input side (Kaiming-initialized, untrained): what `eval` verifies
+    // here is the end-to-end executor — bit determinism across threads
+    // and exec modes — not a trained accuracy figure.
+    nn::ZooBuildOptions zopt;
+    zopt.side = opt.side;
+    zopt.mode = bipolar ? nn::AccumMode::kSum : nn::AccumMode::kOrExact;
+    input_shape = nn::zoo_input_shape(*desc, zopt);
+    te = synth_dataset(input_shape.c, opt.test_count, 999, input_shape.h);
+    net = nn::build_from_descriptor(*desc, zopt);
+    if (!quiet) {
+      std::printf("built %s from the zoo descriptor at %dx%dx%d "
+                  "(untrained, %zu layers)...\n", opt.model.c_str(),
+                  input_shape.h, input_shape.w, input_shape.c,
+                  net.layer_count());
+    }
+  } else {
+    throw std::invalid_argument("unknown model '" + opt.model +
+                                "' (expected lenet, cifar, cifar-max, "
+                                "resnet-tiny, or a zoo network: lenet5/"
+                                "cifar10/svhn/alexnet/vgg16/resnet18)");
   }
 
   sim::ScConfig sc_cfg;
@@ -490,16 +435,9 @@ int cmd_eval(const EvalOptions& opt) {
   sc_cfg.intra_threads = opt.intra_threads;
   if (opt.exec == "scalar") {
     sc_cfg.exec = sim::ExecMode::kScalar;
-  } else if (opt.exec != "planned") {
-    throw std::invalid_argument("eval: unknown --exec '" + opt.exec +
-                                "' (expected planned or scalar)");
   }
   if (opt.pool_mode == "sc") {
     sc_cfg.max_pool = sim::MaxPoolMode::kStochastic;
-  } else if (opt.pool_mode != "exact") {
-    throw std::invalid_argument("eval: unknown --pool-mode '" +
-                                opt.pool_mode +
-                                "' (expected exact or sc)");
   }
   // Warn-level preflight of the trained network under the exact SC config
   // the backend will run: saturation, quantization and stream-geometry
@@ -530,9 +468,8 @@ int cmd_eval(const EvalOptions& opt) {
   // Options::inherit the kernel only follows threads created after the
   // event fds open, and the evaluator spawns its pool at construction.
   const bool want_profiler = opt.profile || !opt.trace_json.empty();
-  const bool want_metrics = opt.metrics || opt.prometheus;
   std::optional<obs::PerfCounterGroup> hw;
-  if (want_profiler || want_metrics) {
+  if (want_profiler || opt.metrics || opt.prometheus) {
     obs::PerfCounterGroup::Options perf_opt;
     perf_opt.inherit = true;
     hw.emplace(perf_opt);
@@ -569,61 +506,216 @@ int cmd_eval(const EvalOptions& opt) {
     };
   }
 
+  EvalRun run;
   if (hw) {
     hw->start();
   }
-  const sim::EvalResult result = evaluator.evaluate(*backend, te, hooks);
-  obs::PerfSample hw_total;
+  run.result = evaluator.evaluate(*backend, te, hooks);
   if (hw) {
-    hw_total = hw->stop();
+    run.hw = hw->stop();
   }
+  // The dropped count must be read before take() resets it.
+  run.dropped_spans = profiler.dropped();
+  run.spans = profiler.take();
   if (opt.verbose) {
-    std::fprintf(stderr, "\n");
     // Scheduler telemetry (nondeterministic, so stderr/verbose only —
     // like the progress line above).
-    std::fprintf(stderr,
-                 "scheduler: %llu task(s), %llu stolen, occupancy %.2f "
-                 "(%u/%u workers busy at peak)\n",
-                 static_cast<unsigned long long>(result.sched.tasks),
-                 static_cast<unsigned long long>(result.sched.steals),
-                 result.sched.occupancy(), result.sched.busy_peak,
-                 result.sched.workers);
+    print_scheduler(stderr, "\nscheduler: ", run.result);
+    if (want_profiler) {
+      std::fprintf(stderr, "trace: %zu span(s) recorded, %" PRIu64
+                   " dropped\n", run.spans.size(), run.dropped_spans);
+    }
   }
+  return run;
+}
 
-  // Aggregate the spans once; every export below reuses them. The dropped
-  // count must be read before take() (take() resets it for the next
-  // recording).
-  std::uint64_t dropped_spans = 0;
-  std::vector<obs::SpanRecord> spans;
-  std::vector<obs::ProfileRow> rows;
-  std::vector<obs::ProfileRow> phase_rows;
-  if (want_profiler) {
-    dropped_spans = profiler.dropped();
-    spans = profiler.take();
-    rows = obs::aggregate_profile(spans, "layer");
-    // Evaluator phases in order, each step inside setup (the up-front
-    // table build) right after it as "setup/<step>".
-    const std::vector<obs::ProfileRow> setup_steps =
-        obs::aggregate_profile(spans, "setup");
-    for (obs::ProfileRow& row : obs::aggregate_profile(spans, "phase")) {
-      const bool setup = row.name == "setup";
-      phase_rows.push_back(std::move(row));
-      if (setup) {
-        for (const obs::ProfileRow& step : setup_steps) {
-          phase_rows.push_back(step);
-          phase_rows.back().name = "setup/" + step.name;
+/// hw.* and scheduler readings: scheduling-dependent, so they join the
+/// Prometheus scrape and the text table but never the JSON "metrics"
+/// section, which is byte-identical across thread counts.
+void add_point_readings(const EvalRun& run, obs::Registry& registry) {
+  if (run.hw) {
+    obs::export_metrics(*run.hw, registry, "hw");
+  }
+  sim::export_scheduler_metrics(run.result, registry);
+}
+
+/// The unified `eval --json --metrics/--profile` document. Everything
+/// outside "timing" is byte-identical for any --threads value (see
+/// BatchEvaluator's determinism contract).
+std::string eval_document(const EvalOptions& opt, const EvalRun& run,
+                          const obs::Registry& registry,
+                          const std::vector<obs::ProfileRow>& rows,
+                          const std::vector<obs::ProfileRow>& phase_rows) {
+  using obs::json_number;
+  using obs::json_quote;
+  const sim::EvalResult& result = run.result;
+  std::string doc = "{";
+  field(doc, 2, "command", json_quote("eval"));
+  field(doc, 2, "backend", json_quote(result.backend));
+  field(doc, 2, "model", json_quote(opt.model));
+  field(doc, 2, "stream_length",
+        json_number(static_cast<std::uint64_t>(opt.stream)));
+  field(doc, 2, "samples",
+        json_number(static_cast<std::uint64_t>(result.samples)));
+  if (opt.metrics) {
+    field(doc, 2, "metrics", registry.to_json(2));
+  }
+  if (opt.profile) {
+    std::string list = "[";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const obs::ProfileRow& row = rows[i];
+      list += i == 0 ? "\n    " : ",\n    ";
+      list += inline_object(with_counters(
+          {{"layer", json_quote(row.name)},
+           {"kind", json_quote(row.kind)},
+           {"calls", json_number(row.calls)},
+           {"wall_ms", json_number(row.wall_ms)}},
+          row));
+    }
+    field(doc, 2, "profile", list + (rows.empty() ? "]" : "\n  ]"));
+  }
+  if (opt.profile || !opt.trace_json.empty()) {
+    // Span accounting: dropped > 0 means every span-derived view above
+    // (profile, trace file) is truncated.
+    field(doc, 2, "trace",
+          inline_object(
+              {{"spans",
+                json_number(static_cast<std::uint64_t>(run.spans.size()))},
+               {"dropped", json_number(run.dropped_spans)}}));
+  }
+  std::string timing = "{";
+  field(timing, 4, "threads",
+        json_number(static_cast<std::uint64_t>(result.threads)));
+  field(timing, 4, "wall_seconds", json_number(result.wall_seconds));
+  field(timing, 4, "throughput_sps", json_number(result.throughput_sps));
+  field(timing, 4, "latency_us",
+        inline_object({{"mean", json_number(result.latency.mean_us)},
+                       {"p50", json_number(result.latency.p50_us)},
+                       {"p90", json_number(result.latency.p90_us)},
+                       {"p99", json_number(result.latency.p99_us)},
+                       {"max", json_number(result.latency.max_us)}}));
+  // Scheduler telemetry is scheduling-dependent (steal counts vary run to
+  // run), which is exactly why it lives under "timing" and not in the
+  // byte-identical "metrics" section.
+  field(timing, 4, "scheduler",
+        inline_object(
+            {{"workers",
+              json_number(static_cast<std::uint64_t>(result.sched.workers))},
+             {"tasks", json_number(result.sched.tasks)},
+             {"steals", json_number(result.sched.steals)},
+             {"busy_peak", json_number(static_cast<std::uint64_t>(
+                               result.sched.busy_peak))},
+             {"occupancy", json_number(result.sched.occupancy())}}));
+  if (!phase_rows.empty()) {
+    // Evaluator phases (setup/run/reduce), with hardware counter deltas
+    // where the host provides them.
+    std::string list = "[";
+    for (const obs::ProfileRow& row : phase_rows) {
+      list += list.size() == 1 ? "\n      " : ",\n      ";
+      list += inline_object(with_counters(
+          {{"phase", json_quote(row.name)},
+           {"wall_ms", json_number(row.wall_ms)}},
+          row));
+    }
+    field(timing, 4, "phases", list + "\n    ]");
+  }
+  if (run.hw) {
+    // Whole-run hardware counters (inherit-scoped: all pool workers).
+    const obs::PerfSample& hw = *run.hw;
+    JsonFields counters{{"wall_ns", json_number(hw.wall_ns)}};
+    for (unsigned i = 0; i < obs::kPerfEventCount; ++i) {
+      const auto event = static_cast<obs::PerfEvent>(i);
+      if (hw.has(event)) {
+        counters.emplace_back(obs::perf_event_name(event),
+                              json_number(hw[event]));
+      }
+    }
+    if (const double ipc = hw.ipc(); ipc == ipc) {
+      counters.emplace_back("ipc", json_number(ipc));
+    }
+    field(timing, 4, "hw", inline_object(counters));
+  }
+  field(doc, 2, "timing", timing + "\n  }");
+  return doc + "\n}\n";
+}
+
+/// The human-readable --profile tables: per-layer rows, then the
+/// evaluator phases.
+void print_profile(const EvalRun& run,
+                   const std::vector<obs::ProfileRow>& rows,
+                   const std::vector<obs::ProfileRow>& phase_rows) {
+  double layer_total_ms = 0.0;
+  for (const obs::ProfileRow& row : rows) {
+    layer_total_ms += row.wall_ms;
+  }
+  core::Table table({"layer", "kind", "calls", "wall [ms]",
+                     "product bits", "skipped", "% of layers"});
+  for (const obs::ProfileRow& row : rows) {
+    const double share =
+        layer_total_ms > 0.0 ? 100.0 * row.wall_ms / layer_total_ms : 0.0;
+    table.add_row({row.name, row.kind, std::to_string(row.calls),
+                   core::format_number(row.wall_ms, 4),
+                   std::to_string(row.counter("product_bits")),
+                   std::to_string(row.counter("skipped_operands")),
+                   core::format_number(share, 3) + "%"});
+  }
+  std::printf("\nper-layer profile (summed across all workers):\n%s",
+              table.to_string().c_str());
+  // Compare against total compute time — the sum of per-sample forward
+  // latencies, i.e. wall time normalized for the worker count.
+  const double compute_ms = run.result.latency.mean_us *
+                            static_cast<double>(run.result.samples) / 1e3;
+  if (compute_ms > 0.0) {
+    std::printf("  layers cover %.4g ms of %.4g ms total compute "
+                "(%.1f%%)\n", layer_total_ms, compute_ms,
+                100.0 * layer_total_ms / compute_ms);
+  }
+  if (!phase_rows.empty()) {
+    core::Table phases({"phase", "wall [ms]", "counters"});
+    for (const obs::ProfileRow& row : phase_rows) {
+      std::string counters;
+      for (const auto& [key, value] : row.counters) {
+        if (!counters.empty()) {
+          counters += "  ";
         }
+        counters += key + "=" + std::to_string(value);
+      }
+      phases.add_row({row.name, core::format_number(row.wall_ms, 4),
+                      counters.empty() ? "-" : counters});
+    }
+    std::printf("\nevaluator phases:\n%s", phases.to_string().c_str());
+  }
+  if (run.dropped_spans > 0) {
+    std::printf("  warning: %" PRIu64 " span(s) dropped after the "
+                "recording cap — profile and trace views are truncated\n",
+                run.dropped_spans);
+  }
+}
+
+/// `acoustic eval`, second half: the trace file, then the Prometheus
+/// scrape, the JSON document or the text summary.
+int report_eval(const EvalOptions& opt, const EvalRun& run) {
+  const sim::EvalResult& result = run.result;
+  const std::vector<obs::ProfileRow> rows =
+      obs::aggregate_profile(run.spans, "layer");
+  // Evaluator phases in order, each step inside setup (the up-front
+  // table build) right after it as "setup/<step>".
+  std::vector<obs::ProfileRow> phase_rows;
+  const std::vector<obs::ProfileRow> setup_steps =
+      obs::aggregate_profile(run.spans, "setup");
+  for (obs::ProfileRow& row : obs::aggregate_profile(run.spans, "phase")) {
+    const bool setup = row.name == "setup";
+    phase_rows.push_back(std::move(row));
+    if (setup) {
+      for (const obs::ProfileRow& step : setup_steps) {
+        phase_rows.push_back(step);
+        phase_rows.back().name = "setup/" + step.name;
       }
     }
   }
-  if (opt.verbose && want_profiler) {
-    std::fprintf(stderr, "trace: %zu span(s) recorded, %llu dropped\n",
-                 spans.size(),
-                 static_cast<unsigned long long>(dropped_spans));
-  }
 
   obs::Registry registry;
-  if (want_metrics) {
+  if (opt.metrics || opt.prometheus) {
     sim::export_metrics(result, registry);
     // With the profiler on, fold the per-layer counter sums in too — sums
     // over all samples, so still deterministic across thread counts.
@@ -640,176 +732,41 @@ int cmd_eval(const EvalOptions& opt) {
     obs::ChromeTraceWriter writer;
     writer.set_process_name(0, "acoustic eval (" + result.backend + ")");
     std::set<std::uint32_t> tracks;
-    for (const obs::SpanRecord& span : spans) {
+    for (const obs::SpanRecord& span : run.spans) {
       tracks.insert(span.track);
     }
     for (const std::uint32_t track : tracks) {
       writer.set_thread_name(0, static_cast<int>(track),
                              "worker " + std::to_string(track));
     }
-    writer.add_spans(0, spans);
+    writer.add_spans(0, run.spans);
     writer.set_metadata("backend", obs::json_quote(result.backend));
     writer.set_metadata("model", obs::json_quote(opt.model));
     writer.set_metadata("samples", obs::json_number(
                             static_cast<std::uint64_t>(result.samples)));
     writer.set_metadata("threads", obs::json_number(
                             static_cast<std::uint64_t>(result.threads)));
-    writer.set_metadata("dropped_events", obs::json_number(dropped_spans));
-    if (!write_text_file(opt.trace_json, writer.to_string())) {
+    writer.set_metadata("dropped_events",
+                        obs::json_number(run.dropped_spans));
+    if (!write_trace(writer, opt.trace_json, opt.json || opt.prometheus,
+                     run.dropped_spans, "span(s)")) {
       return 1;
-    }
-    std::fprintf(opt.json || opt.prometheus ? stderr : stdout,
-                 "trace: wrote %zu event(s) to %s\n", writer.event_count(),
-                 opt.trace_json.c_str());
-    if (dropped_spans > 0) {
-      std::fprintf(stderr,
-                   "warning: trace truncated — %llu span(s) dropped after "
-                   "the recording cap\n",
-                   static_cast<unsigned long long>(dropped_spans));
     }
   }
 
   if (opt.prometheus) {
-    // Prometheus is a point-in-time scrape, so the nondeterministic hw.*
-    // and scheduler readings belong here (unlike the JSON "metrics"
-    // section, which is documented byte-identical across thread counts).
-    if (hw) {
-      obs::export_metrics(hw_total, registry, "hw");
-    }
-    sim::export_scheduler_metrics(result, registry);
-    std::fputs(registry.to_prometheus().c_str(), stdout);
+    add_point_readings(run, registry);
+    print_metrics(registry, true);
     return 0;
   }
 
   if (opt.json) {
-    if (!opt.metrics && !opt.profile) {
-      // Classic shape, kept stable for existing consumers.
-      std::fputs(core::to_json(result).c_str(), stdout);
-      return 0;
-    }
-    // Unified telemetry document. Everything outside "timing" is
-    // byte-identical for any --threads value (see BatchEvaluator's
-    // determinism contract); all wall-clock data lives under "timing".
-    std::string doc = "{\n  \"command\": \"eval\",\n  \"backend\": ";
-    doc += obs::json_quote(result.backend);
-    doc += ",\n  \"model\": ";
-    doc += obs::json_quote(opt.model);
-    doc += ",\n  \"stream_length\": ";
-    doc += obs::json_number(static_cast<std::uint64_t>(opt.stream));
-    doc += ",\n  \"samples\": ";
-    doc += obs::json_number(static_cast<std::uint64_t>(result.samples));
-    doc += ",\n";
-    if (opt.metrics) {
-      doc += "  \"metrics\": ";
-      doc += registry.to_json(2);
-      doc += ",\n";
-    }
-    if (opt.profile) {
-      doc += "  \"profile\": [";
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const obs::ProfileRow& row = rows[i];
-        doc += i == 0 ? "\n" : ",\n";
-        doc += "    {\"layer\": ";
-        doc += obs::json_quote(row.name);
-        doc += ", \"kind\": ";
-        doc += obs::json_quote(row.kind);
-        doc += ", \"calls\": ";
-        doc += obs::json_number(row.calls);
-        doc += ", \"wall_ms\": ";
-        doc += obs::json_number(row.wall_ms);
-        for (const auto& [key, value] : row.counters) {
-          doc += ", ";
-          doc += obs::json_quote(key);
-          doc += ": ";
-          doc += obs::json_number(value);
-        }
-        doc += "}";
-      }
-      doc += rows.empty() ? "],\n" : "\n  ],\n";
-    }
-    if (want_profiler) {
-      // Span accounting: dropped > 0 means every span-derived view above
-      // (profile, trace file) is truncated.
-      doc += "  \"trace\": {\"spans\": ";
-      doc += obs::json_number(static_cast<std::uint64_t>(spans.size()));
-      doc += ", \"dropped\": ";
-      doc += obs::json_number(dropped_spans);
-      doc += "},\n";
-    }
-    doc += "  \"timing\": {\n    \"threads\": ";
-    doc += obs::json_number(static_cast<std::uint64_t>(result.threads));
-    doc += ",\n    \"wall_seconds\": ";
-    doc += obs::json_number(result.wall_seconds);
-    doc += ",\n    \"throughput_sps\": ";
-    doc += obs::json_number(result.throughput_sps);
-    doc += ",\n    \"latency_us\": {\"mean\": ";
-    doc += obs::json_number(result.latency.mean_us);
-    doc += ", \"p50\": ";
-    doc += obs::json_number(result.latency.p50_us);
-    doc += ", \"p90\": ";
-    doc += obs::json_number(result.latency.p90_us);
-    doc += ", \"p99\": ";
-    doc += obs::json_number(result.latency.p99_us);
-    doc += ", \"max\": ";
-    doc += obs::json_number(result.latency.max_us);
-    doc += "},\n    \"scheduler\": {\"workers\": ";
-    // Scheduler telemetry is scheduling-dependent (steal counts vary run
-    // to run), which is exactly why it lives under "timing" and not in
-    // the byte-identical "metrics" section.
-    doc += obs::json_number(static_cast<std::uint64_t>(result.sched.workers));
-    doc += ", \"tasks\": ";
-    doc += obs::json_number(result.sched.tasks);
-    doc += ", \"steals\": ";
-    doc += obs::json_number(result.sched.steals);
-    doc += ", \"busy_peak\": ";
-    doc += obs::json_number(
-        static_cast<std::uint64_t>(result.sched.busy_peak));
-    doc += ", \"occupancy\": ";
-    doc += obs::json_number(result.sched.occupancy());
-    doc += "}";
-    if (!phase_rows.empty()) {
-      // Evaluator phases (setup/run/reduce), with hardware counter deltas
-      // where the host provides them.
-      doc += ",\n    \"phases\": [";
-      for (std::size_t i = 0; i < phase_rows.size(); ++i) {
-        const obs::ProfileRow& row = phase_rows[i];
-        doc += i == 0 ? "\n" : ",\n";
-        doc += "      {\"phase\": ";
-        doc += obs::json_quote(row.name);
-        doc += ", \"wall_ms\": ";
-        doc += obs::json_number(row.wall_ms);
-        for (const auto& [key, value] : row.counters) {
-          doc += ", ";
-          doc += obs::json_quote(key);
-          doc += ": ";
-          doc += obs::json_number(value);
-        }
-        doc += "}";
-      }
-      doc += "\n    ]";
-    }
-    if (hw) {
-      // Whole-run hardware counters (inherit-scoped: all pool workers).
-      doc += ",\n    \"hw\": {\"wall_ns\": ";
-      doc += obs::json_number(hw_total.wall_ns);
-      for (unsigned i = 0; i < obs::kPerfEventCount; ++i) {
-        const auto event = static_cast<obs::PerfEvent>(i);
-        if (!hw_total.has(event)) {
-          continue;
-        }
-        doc += ", ";
-        doc += obs::json_quote(obs::perf_event_name(event));
-        doc += ": ";
-        doc += obs::json_number(hw_total[event]);
-      }
-      const double ipc = hw_total.ipc();
-      if (ipc == ipc) {
-        doc += ", \"ipc\": ";
-        doc += obs::json_number(ipc);
-      }
-      doc += "}";
-    }
-    doc += "\n  }\n}\n";
+    // Without --metrics/--profile: the classic shape, kept stable for
+    // existing consumers.
+    const std::string doc =
+        opt.metrics || opt.profile
+            ? eval_document(opt, run, registry, rows, phase_rows)
+            : core::to_json(result);
     std::fputs(doc.c_str(), stdout);
     return 0;
   }
@@ -824,115 +781,33 @@ int cmd_eval(const EvalOptions& opt) {
               "max %.4g\n", result.latency.mean_us, result.latency.p50_us,
               result.latency.p90_us, result.latency.p99_us,
               result.latency.max_us);
-  std::printf("  work:        %llu weighted layers",
-              static_cast<unsigned long long>(result.stats.layers_run));
-  if (result.stats.product_bits > 0 ||
-      result.stats.skipped_operands > 0) {
-    std::printf(", %llu product bits, %llu operands skipped",
-                static_cast<unsigned long long>(result.stats.product_bits),
-                static_cast<unsigned long long>(
-                    result.stats.skipped_operands));
+  const sim::RunStats& stats = result.stats;
+  std::printf("  work:        %" PRIu64 " weighted layers", stats.layers_run);
+  if (stats.product_bits > 0 || stats.skipped_operands > 0) {
+    std::printf(", %" PRIu64 " product bits, %" PRIu64 " operands skipped",
+                stats.product_bits, stats.skipped_operands);
   }
   std::printf("\n");
-  if (result.stats.stream_bits_generated > 0 ||
-      result.stats.stream_bits_reused > 0) {
-    std::printf("  streams:     %llu bits generated, %llu reused "
-                "(%llu plan hits, %llu misses)\n",
-                static_cast<unsigned long long>(
-                    result.stats.stream_bits_generated),
-                static_cast<unsigned long long>(
-                    result.stats.stream_bits_reused),
-                static_cast<unsigned long long>(result.stats.plan_hits),
-                static_cast<unsigned long long>(result.stats.plan_misses));
+  if (stats.stream_bits_generated > 0 || stats.stream_bits_reused > 0) {
+    std::printf("  streams:     %" PRIu64 " bits generated, %" PRIu64
+                " reused (%" PRIu64 " plan hits, %" PRIu64 " misses)\n",
+                stats.stream_bits_generated, stats.stream_bits_reused,
+                stats.plan_hits, stats.plan_misses);
   }
-  if (result.stats.scratch_bytes > 0) {
-    std::printf("  scratch:     %llu bytes steady-state per forward\n",
-                static_cast<unsigned long long>(result.stats.scratch_bytes));
+  if (stats.scratch_bytes > 0) {
+    std::printf("  scratch:     %" PRIu64 " bytes steady-state per forward\n",
+                stats.scratch_bytes);
   }
-  std::printf("  scheduler:   %llu task(s), %llu stolen, occupancy %.2f "
-              "(%u/%u workers busy at peak)\n",
-              static_cast<unsigned long long>(result.sched.tasks),
-              static_cast<unsigned long long>(result.sched.steals),
-              result.sched.occupancy(), result.sched.busy_peak,
-              result.sched.workers);
-
+  print_scheduler(stdout, "  scheduler:   ", result);
   if (opt.profile) {
-    double layer_total_ms = 0.0;
-    for (const obs::ProfileRow& row : rows) {
-      layer_total_ms += row.wall_ms;
-    }
-    core::Table table({"layer", "kind", "calls", "wall [ms]",
-                       "product bits", "skipped", "% of layers"});
-    for (const obs::ProfileRow& row : rows) {
-      const double share =
-          layer_total_ms > 0.0 ? 100.0 * row.wall_ms / layer_total_ms : 0.0;
-      table.add_row({row.name, row.kind, std::to_string(row.calls),
-                     core::format_number(row.wall_ms, 4),
-                     std::to_string(row.counter("product_bits")),
-                     std::to_string(row.counter("skipped_operands")),
-                     core::format_number(share, 3) + "%"});
-    }
-    std::printf("\nper-layer profile (summed across all workers):\n%s",
-                table.to_string().c_str());
-    // Compare against total compute time — the sum of per-sample forward
-    // latencies, i.e. wall time normalized for the worker count.
-    const double compute_ms =
-        result.latency.mean_us * static_cast<double>(result.samples) / 1e3;
-    if (compute_ms > 0.0) {
-      std::printf("  layers cover %.4g ms of %.4g ms total compute "
-                  "(%.1f%%)\n", layer_total_ms, compute_ms,
-                  100.0 * layer_total_ms / compute_ms);
-    }
-    if (!phase_rows.empty()) {
-      core::Table phases({"phase", "wall [ms]", "counters"});
-      for (const obs::ProfileRow& row : phase_rows) {
-        std::string counters;
-        for (const auto& [key, value] : row.counters) {
-          if (!counters.empty()) {
-            counters += "  ";
-          }
-          counters += key + "=" + std::to_string(value);
-        }
-        phases.add_row({row.name, core::format_number(row.wall_ms, 4),
-                        counters.empty() ? "-" : counters});
-      }
-      std::printf("\nevaluator phases:\n%s", phases.to_string().c_str());
-    }
-    if (dropped_spans > 0) {
-      std::printf("  warning: %llu span(s) dropped after the recording "
-                  "cap — profile and trace views are truncated\n",
-                  static_cast<unsigned long long>(dropped_spans));
-    }
+    print_profile(run, rows, phase_rows);
   }
-
   if (opt.metrics) {
-    // hw.* and scheduler readings join the human table (nondeterministic,
-    // so they stay out of the machine-readable "metrics" JSON section
-    // above).
-    if (hw) {
-      obs::export_metrics(hw_total, registry, "hw");
-    }
-    sim::export_scheduler_metrics(result, registry);
-    std::printf("\nmetrics:\n%s", metrics_table(registry).to_string().c_str());
+    add_point_readings(run, registry);
+    print_metrics(registry, false);
   }
   return 0;
 }
-
-struct BenchCliOptions {
-  std::vector<std::string> suites;  ///< empty = every registered suite
-  int iters = -1;                   ///< -1 = default (10, or 5 with --quick)
-  int warmup = -1;                  ///< -1 = default (2, or 1 with --quick)
-  bool quick = false;
-  std::size_t stream = 128;
-  unsigned threads_max = 0;
-  std::string json_path;
-  std::string compare_path;
-  double noise_mult = 4.0;  ///< --noise: threshold in MADs
-  double rel_floor = 0.10;  ///< --tolerance: relative floor fraction
-  bool counters = true;
-  bool strict = false;  ///< gate even on a foreign-machine baseline
-  bool list = false;
-};
 
 /// `acoustic bench`: run the registered suites under the shared harness
 /// into one bench.v1 document; optionally persist it (--json) and gate
@@ -966,23 +841,19 @@ int cmd_bench(const BenchCliOptions& opt) {
   }
 
   obs::BenchOptions bopt = obs::BenchOptions::from_env();
-  bopt.iters = opt.iters >= 0 ? opt.iters : (opt.quick ? 5 : bopt.iters);
-  bopt.warmup = opt.warmup >= 0 ? opt.warmup : (opt.quick ? 1 : bopt.warmup);
+  const bool quick = opt.suite.quick;
+  bopt.iters = opt.iters >= 0 ? opt.iters : (quick ? 5 : bopt.iters);
+  bopt.warmup = opt.warmup >= 0 ? opt.warmup : (quick ? 1 : bopt.warmup);
   bopt.counters = opt.counters;
 
   obs::Bench bench("acoustic-bench", bopt);
   bench.meta().simd =
       sc::kernels::level_name(sc::kernels::active_level());
 
-  tools::BenchSuiteOptions sopt;
-  sopt.stream = opt.stream;
-  sopt.threads_max = opt.threads_max;
-  sopt.quick = opt.quick;
-
   for (const tools::BenchSuite* suite : selected) {
     std::fprintf(stderr, "bench: suite %s (%d warmup + %d iters)...\n",
                  suite->name, bopt.warmup, bopt.iters);
-    suite->run(bench, sopt);
+    suite->run(bench, opt.suite);
   }
 
   const obs::BenchDocument& doc = bench.document();
@@ -1044,10 +915,7 @@ int cmd_bench(const BenchCliOptions& opt) {
     return 1;
   }
 
-  obs::CompareOptions copt;
-  copt.noise_mult = opt.noise_mult;
-  copt.rel_floor = opt.rel_floor;
-  const obs::CompareResult cmp = obs::compare(doc, baseline, copt);
+  const obs::CompareResult cmp = obs::compare(doc, baseline, opt.compare);
 
   core::Table verdicts({"entry", "verdict", "baseline", "current", "ratio",
                         "threshold"});
@@ -1079,281 +947,120 @@ int cmd_bench(const BenchCliOptions& opt) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    return usage();
+/// `acoustic simulate`: the performance + energy simulation of @p net.
+int cmd_simulate(const PerfCliOptions& opt, const perf::ArchConfig& arch,
+                 const nn::NetworkDesc& net) {
+  // Warn-level structural preflight: the performance model lowers every
+  // zoo descriptor, so only the graph/shape/geometry rules apply here.
+  if (opt.preflight) {
+    analysis::CheckOptions check_opt;
+    check_opt.target = analysis::CheckTarget::kPerfSim;
+    print_preflight(analysis::check_descriptor(net, check_opt), "simulate");
   }
-  const std::string cmd = argv[1];
-  if (cmd == "list") {
-    return cmd_list();
+  const core::Accelerator accel(arch);
+  const core::InferenceCost cost = accel.run(net);
+
+  // One traced run serves both the ASCII gantt and the Chrome export.
+  std::optional<perf::TracedResult> traced;
+  if (opt.trace || !opt.trace_json.empty()) {
+    traced = perf::simulate_traced(accel.compile(net), arch);
   }
 
-  if (cmd == "eval") {
-    EvalOptions opt;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> const char* {
-        return i + 1 < argc ? argv[++i] : nullptr;
-      };
-      const char* v = nullptr;
-      if (arg == "--backend" && (v = value()) != nullptr) {
-        opt.backend = v;
-      } else if (arg == "--model" && (v = value()) != nullptr) {
-        opt.model = v;
-      } else if (arg == "--threads" && (v = value()) != nullptr) {
-        opt.threads = static_cast<unsigned>(std::atoi(v));
-      } else if (arg == "--intra-threads" && (v = value()) != nullptr) {
-        opt.intra_threads = static_cast<unsigned>(std::atoi(v));
-      } else if (arg == "--exec" && (v = value()) != nullptr) {
-        opt.exec = v;
-      } else if (arg == "--pool-mode" && (v = value()) != nullptr) {
-        opt.pool_mode = v;
-      } else if (arg == "--side" && (v = value()) != nullptr) {
-        opt.side = std::atoi(v);
-      } else if (arg == "--stream" && (v = value()) != nullptr) {
-        opt.stream = static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--train" && (v = value()) != nullptr) {
-        opt.train_count = static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--test" && (v = value()) != nullptr) {
-        opt.test_count = static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--epochs" && (v = value()) != nullptr) {
-        opt.epochs = std::atoi(v);
-      } else if (arg == "--json") {
-        opt.json = true;
-      } else if (arg == "--metrics") {
-        opt.metrics = true;
-      } else if (arg == "--profile") {
-        opt.profile = true;
-      } else if (arg == "--prometheus") {
-        opt.prometheus = true;
-      } else if (arg == "--verbose") {
-        opt.verbose = true;
-      } else if (arg == "--no-preflight") {
-        opt.preflight = false;
-      } else if (arg == "--trace-json" && (v = value()) != nullptr) {
-        opt.trace_json = v;
-      } else {
-        return usage();
-      }
-    }
-    try {
-      return cmd_eval(opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "eval: %s\n", e.what());
+  obs::Registry registry;
+  if (opt.metrics || opt.prometheus) {
+    perf::export_metrics(cost.perf, registry);
+    energy::export_metrics(cost.energy, registry);
+    energy::export_metrics(energy::area_breakdown(arch), "area", registry);
+    energy::export_metrics(energy::power_breakdown(arch), "power",
+                           registry);
+    registry.set("perf.latency_s", cost.latency_s);
+    registry.set("perf.frames_per_s", cost.frames_per_s);
+    registry.set("perf.frames_per_j", cost.frames_per_j);
+  }
+
+  if (!opt.trace_json.empty()) {
+    obs::ChromeTraceWriter writer;
+    perf::to_chrome_trace(*traced, arch, writer);
+    writer.set_metadata("network", obs::json_quote(net.name));
+    if (!write_trace(writer, opt.trace_json, opt.json || opt.prometheus,
+                     traced->dropped_events, "event(s)")) {
       return 1;
     }
   }
 
-  if (cmd == "bench") {
-    BenchCliOptions opt;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> const char* {
-        return i + 1 < argc ? argv[++i] : nullptr;
-      };
-      const char* v = nullptr;
-      if (arg == "--suite" && (v = value()) != nullptr) {
-        opt.suites.emplace_back(v);
-      } else if (arg == "--iters" && (v = value()) != nullptr) {
-        opt.iters = std::atoi(v);
-      } else if (arg == "--warmup" && (v = value()) != nullptr) {
-        opt.warmup = std::atoi(v);
-      } else if (arg == "--quick") {
-        opt.quick = true;
-      } else if (arg == "--stream" && (v = value()) != nullptr) {
-        opt.stream = static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--threads-max" && (v = value()) != nullptr) {
-        opt.threads_max = static_cast<unsigned>(std::atoi(v));
-      } else if (arg == "--json" && (v = value()) != nullptr) {
-        opt.json_path = v;
-      } else if (arg == "--compare" && (v = value()) != nullptr) {
-        opt.compare_path = v;
-      } else if (arg == "--noise" && (v = value()) != nullptr) {
-        opt.noise_mult = std::atof(v);
-      } else if (arg == "--tolerance" && (v = value()) != nullptr) {
-        opt.rel_floor = std::atof(v);
-      } else if (arg == "--no-counters") {
-        opt.counters = false;
-      } else if (arg == "--strict") {
-        opt.strict = true;
-      } else if (arg == "--list") {
-        opt.list = true;
-      } else {
-        return usage();
-      }
-    }
-    try {
-      return cmd_bench(opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: %s\n", e.what());
-      return 1;
-    }
+  if (opt.prometheus) {
+    print_metrics(registry, true);
+    return 0;
   }
 
-  if (cmd == "lint") {
-    perf::ArchConfig arch = perf::lp();
-    std::string target;
-    bool werror = false;
-    bool json = false;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--arch") {
-        if (i + 1 >= argc) {
-          return usage();
-        }
-        const std::string v = argv[++i];
-        if (v == "ulp") {
-          arch = perf::ulp();
-        } else if (v != "lp") {
-          return usage();
-        }
-      } else if (arg == "--werror") {
-        werror = true;
-      } else if (arg == "--json") {
-        json = true;
-      } else if (target.empty()) {
-        target = arg;
-      } else {
-        return usage();
-      }
+  if (opt.json) {
+    using obs::json_number;
+    std::string doc = "{";
+    field(doc, 2, "command", obs::json_quote("simulate"));
+    field(doc, 2, "network", obs::json_quote(net.name));
+    field(doc, 2, "arch", obs::json_quote(arch.name));
+    field(doc, 2, "batch", json_number(static_cast<std::uint64_t>(
+                               arch.batch > 0 ? arch.batch : 0)));
+    field(doc, 2, "clock_mhz", json_number(arch.clock_mhz));
+    field(doc, 2, "stream_length", json_number(arch.stream_length));
+    field(doc, 2, "dram", arch.has_dram ? obs::json_quote(arch.dram.name)
+                                        : std::string("null"));
+    field(doc, 2, "latency_s", json_number(cost.latency_s));
+    field(doc, 2, "frames_per_s", json_number(cost.frames_per_s));
+    field(doc, 2, "on_chip_energy_j", json_number(cost.on_chip_energy_j));
+    field(doc, 2, "frames_per_j", json_number(cost.frames_per_j));
+    field(doc, 2, "dram_energy_j", json_number(cost.dram_energy_j));
+    if (opt.metrics) {
+      field(doc, 2, "metrics", registry.to_json(2));
     }
-    if (target.empty()) {
-      return usage();
-    }
-    return cmd_lint(target, arch, werror, json);
+    doc += "\n}\n";
+    std::fputs(doc.c_str(), stdout);
+    return 0;
   }
 
-  if (cmd == "check") {
-    CheckCliOptions opt;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto value = [&]() -> const char* {
-        return i + 1 < argc ? argv[++i] : nullptr;
-      };
-      const char* v = nullptr;
-      if (arg == "--target" && (v = value()) != nullptr) {
-        if (std::strcmp(v, "perf") == 0) {
-          opt.options.target = analysis::CheckTarget::kPerfSim;
-        } else if (std::strcmp(v, "sc") != 0) {
-          return usage();
-        }
-      } else if (arg == "--stream" && (v = value()) != nullptr) {
-        opt.options.sc.stream_length =
-            static_cast<std::size_t>(std::atoll(v));
-      } else if (arg == "--width" && (v = value()) != nullptr) {
-        opt.options.sc.sng_width = static_cast<unsigned>(std::atoi(v));
-      } else if (arg == "--threshold" && (v = value()) != nullptr) {
-        opt.options.saturation_threshold = std::atof(v);
-      } else if (arg == "--no-probe") {
-        opt.options.probe = false;
-      } else if (arg == "--werror") {
-        opt.werror = true;
-      } else if (arg == "--json") {
-        opt.json = true;
-      } else if (opt.target_name.empty()) {
-        opt.target_name = arg;
-      } else {
-        return usage();
-      }
-    }
-    if (opt.target_name.empty()) {
-      return usage();
-    }
-    try {
-      return cmd_check(opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "check: %s\n", e.what());
-      return 1;
-    }
+  std::printf("%s on %s (batch %d, %.0f MHz, %" PRIu64 "-bit streams, %s)\n",
+              net.name.c_str(), arch.name.c_str(), arch.batch,
+              arch.clock_mhz, arch.stream_length,
+              arch.has_dram ? arch.dram.name.c_str() : "no DRAM");
+  std::printf("  latency/frame: %.6g ms   (%.6g frames/s)\n",
+              cost.latency_s * 1e3, cost.frames_per_s);
+  std::printf("  energy/frame:  %.6g uJ on-chip (%.6g frames/J), "
+              "%.6g uJ DRAM\n", cost.on_chip_energy_j * 1e6,
+              cost.frames_per_j, cost.dram_energy_j * 1e6);
+  if (opt.metrics) {
+    print_metrics(registry, false);
   }
+  if (opt.layers) {
+    core::Table table({"layer", "latency [us]", "energy [uJ]",
+                       "utilization", "weights"});
+    for (const core::LayerCost& layer : accel.run_layers(net)) {
+      table.add_row({layer.label,
+                     core::format_number(layer.latency_s * 1e6, 4),
+                     core::format_number(layer.on_chip_energy_j * 1e6, 4),
+                     core::format_number(100.0 * layer.utilization, 3) +
+                         "%",
+                     layer.weights_resident ? "resident" : "streamed"});
+    }
+    std::printf("\n%s", table.to_string().c_str());
+  }
+  if (opt.trace) {
+    std::printf("\n%s\n%s", perf::render_gantt(*traced).c_str(),
+                perf::render_utilization(*traced).c_str());
+  }
+  return 0;
+}
 
-  // Parse common options.
-  perf::ArchConfig arch = perf::lp();
+/// `acoustic compile|simulate|breakdown`, which share one flag table.
+int cmd_perf(const std::string& cmd, const PerfCliOptions& opt) {
   std::optional<nn::NetworkDesc> net;
-  bool trace = false;
-  bool layers = false;
-  bool metrics = false;
-  bool json_out = false;
-  bool prometheus = false;
-  bool preflight = true;
-  std::string trace_json;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--arch") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      if (std::strcmp(v, "ulp") == 0) {
-        arch = perf::ulp();
-      } else if (std::strcmp(v, "lp") != 0) {
-        return usage();
-      }
-    } else if (arg == "--batch") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      arch.batch = std::atoi(v);
-    } else if (arg == "--clock") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      arch.clock_mhz = std::atof(v);
-    } else if (arg == "--stream") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      arch.stream_length = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--dram") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      const auto spec = find_dram(v);
-      if (!spec) {
-        return usage();
-      }
-      arch.dram = *spec;
-    } else if (arg == "--trace") {
-      trace = true;
-    } else if (arg == "--layers") {
-      layers = true;
-    } else if (arg == "--metrics") {
-      metrics = true;
-    } else if (arg == "--json") {
-      json_out = true;
-    } else if (arg == "--prometheus") {
-      prometheus = true;
-    } else if (arg == "--no-preflight") {
-      preflight = false;
-    } else if (arg == "--trace-json") {
-      const char* v = next();
-      if (v == nullptr) {
-        return usage();
-      }
-      trace_json = v;
-    } else if (!net) {
-      net = find_network(arg);
-      if (!net) {
-        std::fprintf(stderr, "unknown network '%s'\n", arg.c_str());
-        return usage();
-      }
-    } else {
+  if (!opt.network.empty()) {
+    net = find_network(opt.network);
+    if (!net) {
+      std::fprintf(stderr, "unknown network '%s'\n", opt.network.c_str());
       return usage();
     }
   }
-
+  const perf::ArchConfig arch = opt.machine();
   if (cmd == "breakdown") {
     std::printf("%s\n", energy::format_breakdown(
                             energy::area_breakdown(arch)).c_str());
@@ -1361,137 +1068,70 @@ int main(int argc, char** argv) {
                           energy::power_breakdown(arch)).c_str());
     return 0;
   }
-
-  if (!net) {
-    std::fprintf(stderr, "%s requires a network\n", cmd.c_str());
-    return usage();
-  }
-
   if (cmd == "compile") {
     const core::Accelerator accel(arch);
     std::fputs(isa::format(accel.compile(*net)).c_str(), stdout);
     return 0;
   }
-  if (cmd == "simulate") {
-    // Warn-level structural preflight: the performance model lowers every
-    // zoo descriptor, so only the graph/shape/geometry rules apply here.
-    if (preflight) {
-      analysis::CheckOptions check_opt;
-      check_opt.target = analysis::CheckTarget::kPerfSim;
-      print_preflight(analysis::check_descriptor(*net, check_opt),
-                      "simulate");
-    }
-    const core::Accelerator accel(arch);
-    const core::InferenceCost cost = accel.run(*net);
+  return cmd_simulate(opt, arch, *net);
+}
 
-    // One traced run serves both the ASCII gantt and the Chrome export.
-    std::optional<perf::TracedResult> traced;
-    if (trace || !trace_json.empty()) {
-      traced = perf::simulate_traced(accel.compile(*net), arch);
-    }
+/// Parses argv[2..] with the table @p flags declares over an Options,
+/// then runs @p command on it; a malformed command line prints the
+/// diagnostic and the command's usage and exits 2.
+template <typename Options, typename Flags, typename Command>
+int run_command(int argc, char** argv, Flags flags, Command command) {
+  Options opt;
+  const tools::FlagTable table = flags(opt);
+  if (const std::string error = table.parse(argc, argv, 2); !error.empty()) {
+    std::fprintf(stderr, "acoustic %s: %s\n%s", argv[1], error.c_str(),
+                 table.usage().c_str());
+    return 2;
+  }
+  return command(opt);
+}
 
-    obs::Registry registry;
-    if (metrics || prometheus) {
-      perf::export_metrics(cost.perf, registry);
-      energy::export_metrics(cost.energy, registry);
-      energy::export_metrics(energy::area_breakdown(arch), "area", registry);
-      energy::export_metrics(energy::power_breakdown(arch), "power",
-                             registry);
-      registry.set("perf.latency_s", cost.latency_s);
-      registry.set("perf.frames_per_s", cost.frames_per_s);
-      registry.set("perf.frames_per_j", cost.frames_per_j);
-    }
-
-    if (!trace_json.empty()) {
-      obs::ChromeTraceWriter writer;
-      perf::to_chrome_trace(*traced, arch, writer);
-      writer.set_metadata("network", obs::json_quote(net->name));
-      if (!write_text_file(trace_json, writer.to_string())) {
-        return 1;
-      }
-      std::fprintf(json_out || prometheus ? stderr : stdout,
-                   "trace: wrote %zu event(s) to %s\n", writer.event_count(),
-                   trace_json.c_str());
-      if (traced->dropped_events > 0) {
-        std::fprintf(stderr,
-                     "warning: trace truncated — %llu event(s) dropped "
-                     "after the recording cap\n",
-                     static_cast<unsigned long long>(
-                         traced->dropped_events));
-      }
-    }
-
-    if (prometheus) {
-      std::fputs(registry.to_prometheus().c_str(), stdout);
-      return 0;
-    }
-
-    if (json_out) {
-      std::string doc = "{\n  \"command\": \"simulate\",\n  \"network\": ";
-      doc += obs::json_quote(net->name);
-      doc += ",\n  \"arch\": ";
-      doc += obs::json_quote(arch.name);
-      doc += ",\n  \"batch\": ";
-      doc += obs::json_number(static_cast<std::uint64_t>(
-          arch.batch > 0 ? arch.batch : 0));
-      doc += ",\n  \"clock_mhz\": ";
-      doc += obs::json_number(arch.clock_mhz);
-      doc += ",\n  \"stream_length\": ";
-      doc += obs::json_number(arch.stream_length);
-      doc += ",\n  \"dram\": ";
-      doc += arch.has_dram ? obs::json_quote(arch.dram.name)
-                           : std::string("null");
-      doc += ",\n  \"latency_s\": ";
-      doc += obs::json_number(cost.latency_s);
-      doc += ",\n  \"frames_per_s\": ";
-      doc += obs::json_number(cost.frames_per_s);
-      doc += ",\n  \"on_chip_energy_j\": ";
-      doc += obs::json_number(cost.on_chip_energy_j);
-      doc += ",\n  \"frames_per_j\": ";
-      doc += obs::json_number(cost.frames_per_j);
-      doc += ",\n  \"dram_energy_j\": ";
-      doc += obs::json_number(cost.dram_energy_j);
-      if (metrics) {
-        doc += ",\n  \"metrics\": ";
-        doc += registry.to_json(2);
-      }
-      doc += "\n}\n";
-      std::fputs(doc.c_str(), stdout);
-      return 0;
-    }
-
-    std::printf("%s on %s (batch %d, %.0f MHz, %llu-bit streams, %s)\n",
-                net->name.c_str(), arch.name.c_str(), arch.batch,
-                arch.clock_mhz,
-                static_cast<unsigned long long>(arch.stream_length),
-                arch.has_dram ? arch.dram.name.c_str() : "no DRAM");
-    std::printf("  latency/frame: %.6g ms   (%.6g frames/s)\n",
-                cost.latency_s * 1e3, cost.frames_per_s);
-    std::printf("  energy/frame:  %.6g uJ on-chip (%.6g frames/J), "
-                "%.6g uJ DRAM\n", cost.on_chip_energy_j * 1e6,
-                cost.frames_per_j, cost.dram_energy_j * 1e6);
-    if (metrics) {
-      std::printf("\nmetrics:\n%s", metrics_table(registry).to_string()
-                                        .c_str());
-    }
-    if (layers) {
-      core::Table table({"layer", "latency [us]", "energy [uJ]",
-                         "utilization", "weights"});
-      for (const core::LayerCost& layer : accel.run_layers(*net)) {
-        table.add_row({layer.label,
-                       core::format_number(layer.latency_s * 1e6, 4),
-                       core::format_number(layer.on_chip_energy_j * 1e6, 4),
-                       core::format_number(100.0 * layer.utilization, 3) +
-                           "%",
-                       layer.weights_resident ? "resident" : "streamed"});
-      }
-      std::printf("\n%s", table.to_string().c_str());
-    }
-    if (trace) {
-      std::printf("\n%s\n%s", perf::render_gantt(*traced).c_str(),
-                  perf::render_utilization(*traced).c_str());
-    }
-    return 0;
+int dispatch(const std::string& cmd, int argc, char** argv) {
+  if (cmd == "list") {
+    return cmd_list();
+  }
+  if (cmd == "eval") {
+    return run_command<EvalOptions>(
+        argc, argv, tools::eval_flags,
+        [](const EvalOptions& opt) { return report_eval(opt, run_eval(opt)); });
+  }
+  if (cmd == "bench") {
+    return run_command<BenchCliOptions>(argc, argv, tools::bench_flags,
+                                        cmd_bench);
+  }
+  if (cmd == "lint") {
+    return run_command<LintCliOptions>(argc, argv, tools::lint_flags,
+                                       cmd_lint);
+  }
+  if (cmd == "check") {
+    return run_command<CheckCliOptions>(argc, argv, tools::check_flags,
+                                        cmd_check);
+  }
+  if (cmd == "compile" || cmd == "simulate" || cmd == "breakdown") {
+    return run_command<PerfCliOptions>(
+        argc, argv,
+        [&cmd](PerfCliOptions& opt) { return tools::perf_flags(opt, cmd); },
+        [&cmd](const PerfCliOptions& opt) { return cmd_perf(cmd, opt); });
   }
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) {
+    return usage();
+  }
+  const std::string cmd = argv[1];
+  try {
+    return dispatch(cmd, argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.what());
+    return 1;
+  }
 }

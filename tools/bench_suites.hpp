@@ -1,16 +1,6 @@
 // Registered suites for `acoustic bench` — the performance surface the
-// repo tracks continuously:
-//
-//   forward     single-image SC forward latency (scalar reference vs the
-//               planned fast path, serial and auto-threaded)
-//   kernels     the SIMD kernel table: word ops, fused product+count,
-//               comparator packing (StreamBank::fill), stochastic max
-//   plan        LayerStreamPlan construction + build for one layer's
-//               weight lanes (the per-network one-time cost)
-//   throughput  BatchEvaluator images/s at 1..N worker threads
-//   scaling     work-stealing scheduler thread-scaling matrix: img/s at
-//               1/2/4 threads across lenet-small, cifar-max and resnet18
-//               (the monotone-scaling gate CI checks)
+// repo tracks continuously; `acoustic bench --list` prints each suite with
+// its description (bench_suites() below holds the one copy).
 //
 // Every suite records into one shared obs::Bench, so the whole run is a
 // single bench.v1 trajectory document `--compare` can gate on. Suites live
