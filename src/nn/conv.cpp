@@ -1,5 +1,6 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,9 +31,7 @@ Conv2D::Conv2D(const ConvSpec& spec)
     : spec_(validate(spec)),
       weights_(static_cast<std::size_t>(spec.out_channels) * spec.kernel *
                spec.kernel * (spec.in_channels / spec.groups)),
-      weight_grads_(weights_.size()),
-      bias_(spec.bias ? static_cast<std::size_t>(spec.out_channels) : 0),
-      bias_grads_(bias_.size()) {}
+      bias_(spec.bias ? static_cast<std::size_t>(spec.out_channels) : 0) {}
 
 std::size_t Conv2D::weight_index(int oc, int ky, int kx,
                                  int ic) const noexcept {
@@ -69,7 +68,13 @@ void Conv2D::initialize(std::uint32_t seed) {
   }
 }
 
+void Conv2D::ensure_gradients() {
+  weight_grads_.resize(weights_.size());
+  bias_grads_.resize(bias_.size());
+}
+
 std::vector<ParamView> Conv2D::parameters() {
+  ensure_gradients();
   std::vector<ParamView> out;
   out.push_back(ParamView{weights_, weight_grads_});
   if (!bias_.empty()) {
@@ -78,13 +83,18 @@ std::vector<ParamView> Conv2D::parameters() {
   return out;
 }
 
+std::vector<std::span<float>> Conv2D::parameter_values() {
+  std::vector<std::span<float>> out{weights_};
+  if (!bias_.empty()) {
+    out.emplace_back(bias_);
+  }
+  return out;
+}
+
 void Conv2D::zero_gradients() {
-  for (float& g : weight_grads_) {
-    g = 0.0f;
-  }
-  for (float& g : bias_grads_) {
-    g = 0.0f;
-  }
+  ensure_gradients();
+  std::fill(weight_grads_.begin(), weight_grads_.end(), 0.0f);
+  std::fill(bias_grads_.begin(), bias_grads_.end(), 0.0f);
 }
 
 Tensor Conv2D::forward(const Tensor& input) {
@@ -201,6 +211,7 @@ Tensor Conv2D::forward_or(const Tensor& input, bool exact) {
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
+  ensure_gradients();
   switch (spec_.mode) {
     case AccumMode::kSum:
       return backward_sum(grad_output);

@@ -40,6 +40,7 @@ class Conv2D final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<ParamView> parameters() override;
+  std::vector<std::span<float>> parameter_values() override;
   void zero_gradients() override;
   [[nodiscard]] Kind kind() const noexcept override { return Kind::kConv2D; }
   [[nodiscard]] Shape output_shape(Shape input) const override;
@@ -81,12 +82,16 @@ class Conv2D final : public Layer {
   Tensor forward_or(const Tensor& input, bool exact);
   Tensor backward_sum(const Tensor& grad_output);
   Tensor backward_or(const Tensor& grad_output, bool exact);
+  /// Sizes the gradients to the parameters (zeroed) on their first use,
+  /// so a network only run forward, like an inference snapshot, never
+  /// holds a gradient array as large as its weights.
+  void ensure_gradients();
 
   ConvSpec spec_;
   std::vector<float> weights_;
-  std::vector<float> weight_grads_;
+  std::vector<float> weight_grads_;  ///< empty until first needed
   std::vector<float> bias_;
-  std::vector<float> bias_grads_;
+  std::vector<float> bias_grads_;    ///< empty until first needed
 
   // Caches from forward() for backward().
   Tensor input_;

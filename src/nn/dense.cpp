@@ -1,5 +1,6 @@
 #include "nn/dense.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -24,9 +25,7 @@ Dense::Dense(const DenseSpec& spec)
     : spec_(validate(spec)),
       weights_(static_cast<std::size_t>(spec.out_features) *
                spec.in_features),
-      weight_grads_(weights_.size()),
-      bias_(spec.bias ? static_cast<std::size_t>(spec.out_features) : 0),
-      bias_grads_(bias_.size()) {}
+      bias_(spec.bias ? static_cast<std::size_t>(spec.out_features) : 0) {}
 
 Shape Dense::output_shape(Shape input) const {
   (void)input;
@@ -50,7 +49,13 @@ void Dense::initialize(std::uint32_t seed) {
   }
 }
 
+void Dense::ensure_gradients() {
+  weight_grads_.resize(weights_.size());
+  bias_grads_.resize(bias_.size());
+}
+
 std::vector<ParamView> Dense::parameters() {
+  ensure_gradients();
   std::vector<ParamView> out;
   out.push_back(ParamView{weights_, weight_grads_});
   if (!bias_.empty()) {
@@ -59,13 +64,18 @@ std::vector<ParamView> Dense::parameters() {
   return out;
 }
 
+std::vector<std::span<float>> Dense::parameter_values() {
+  std::vector<std::span<float>> out{weights_};
+  if (!bias_.empty()) {
+    out.emplace_back(bias_);
+  }
+  return out;
+}
+
 void Dense::zero_gradients() {
-  for (float& g : weight_grads_) {
-    g = 0.0f;
-  }
-  for (float& g : bias_grads_) {
-    g = 0.0f;
-  }
+  ensure_gradients();
+  std::fill(weight_grads_.begin(), weight_grads_.end(), 0.0f);
+  std::fill(bias_grads_.begin(), bias_grads_.end(), 0.0f);
 }
 
 Tensor Dense::forward(const Tensor& input) {
@@ -125,6 +135,7 @@ Tensor Dense::forward(const Tensor& input) {
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  ensure_gradients();
   Tensor grad_input(input_.shape());
   const auto x = input_.data();
   if (spec_.mode == AccumMode::kSum) {

@@ -27,6 +27,7 @@ class Dense final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<ParamView> parameters() override;
+  std::vector<std::span<float>> parameter_values() override;
   void zero_gradients() override;
   [[nodiscard]] Kind kind() const noexcept override { return Kind::kDense; }
   [[nodiscard]] Shape output_shape(Shape input) const override;
@@ -47,11 +48,16 @@ class Dense final : public Layer {
   }
 
  private:
+  /// Sizes the gradients to the parameters (zeroed) on their first use,
+  /// so a network only run forward, like an inference snapshot, never
+  /// holds a gradient array as large as its weights.
+  void ensure_gradients();
+
   DenseSpec spec_;
   std::vector<float> weights_;
-  std::vector<float> weight_grads_;
+  std::vector<float> weight_grads_;  ///< empty until first needed
   std::vector<float> bias_;
-  std::vector<float> bias_grads_;
+  std::vector<float> bias_grads_;    ///< empty until first needed
 
   Tensor input_;
   std::vector<float> cache_pos_;  // s_p or prod_pos per output

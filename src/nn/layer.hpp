@@ -69,6 +69,17 @@ class Layer {
   /// Parameter/gradient views for the optimizer; empty for stateless layers.
   virtual std::vector<ParamView> parameters() { return {}; }
 
+  /// The parameter arrays alone, in parameters() order: what copying or
+  /// saving a network reads. Layers that allocate their gradients on first
+  /// use override it so that inference snapshots never allocate them.
+  virtual std::vector<std::span<float>> parameter_values() {
+    std::vector<std::span<float>> out;
+    for (ParamView& p : parameters()) {
+      out.push_back(p.values);
+    }
+    return out;
+  }
+
   /// Zeroes all parameter gradients.
   virtual void zero_gradients() {}
 

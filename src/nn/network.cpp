@@ -50,6 +50,16 @@ std::vector<ParamView> Network::parameters() {
   return out;
 }
 
+std::vector<std::span<float>> Network::parameter_values() {
+  std::vector<std::span<float>> out;
+  for (auto& layer : layers_) {
+    for (const std::span<float> values : layer->parameter_values()) {
+      out.push_back(values);
+    }
+  }
+  return out;
+}
+
 void Network::zero_gradients() {
   for (auto& layer : layers_) {
     layer->zero_gradients();
@@ -58,8 +68,8 @@ void Network::zero_gradients() {
 
 std::size_t Network::parameter_count() {
   std::size_t total = 0;
-  for (ParamView& p : parameters()) {
-    total += p.values.size();
+  for (const std::span<float> values : parameter_values()) {
+    total += values.size();
   }
   return total;
 }
@@ -123,14 +133,15 @@ Network Network::clone() {
       }
     }
   }
-  const std::vector<ParamView> src = parameters();
-  const std::vector<ParamView> dst = copy.parameters();
+  // Values only: a clone (an inference snapshot, most often) allocates
+  // no gradients until it is trained.
+  const std::vector<std::span<float>> src = parameter_values();
+  const std::vector<std::span<float>> dst = copy.parameter_values();
   if (src.size() != dst.size()) {
     throw std::logic_error("Network::clone: parameter view mismatch");
   }
   for (std::size_t p = 0; p < src.size(); ++p) {
-    std::copy(src[p].values.begin(), src[p].values.end(),
-              dst[p].values.begin());
+    std::copy(src[p].begin(), src[p].end(), dst[p].begin());
   }
   return copy;
 }

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -41,6 +42,9 @@ class Network {
 
   /// All trainable parameter views across layers.
   [[nodiscard]] std::vector<ParamView> parameters();
+  /// The parameter arrays alone, in parameters() order; allocates no
+  /// gradients (see Layer::parameter_values()).
+  [[nodiscard]] std::vector<std::span<float>> parameter_values();
 
   void zero_gradients();
 

@@ -65,6 +65,9 @@ class SkipProject final : public Layer {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<ParamView> parameters() override { return proj_.parameters(); }
+  std::vector<std::span<float>> parameter_values() override {
+    return proj_.parameter_values();
+  }
   void zero_gradients() override { proj_.zero_gradients(); }
   [[nodiscard]] Kind kind() const noexcept override {
     return Kind::kSkipProject;

@@ -32,12 +32,12 @@ T read_pod(std::istream& in) {
 void save_parameters(Network& net, std::ostream& out) {
   out.write(kMagic, sizeof(kMagic));
   write_pod(out, kVersion);
-  auto params = net.parameters();
+  const auto params = net.parameter_values();
   write_pod(out, static_cast<std::uint32_t>(params.size()));
-  for (ParamView& p : params) {
-    write_pod(out, static_cast<std::uint64_t>(p.values.size()));
-    out.write(reinterpret_cast<const char*>(p.values.data()),
-              static_cast<std::streamsize>(p.values.size() * sizeof(float)));
+  for (const std::span<float> values : params) {
+    write_pod(out, static_cast<std::uint64_t>(values.size()));
+    out.write(reinterpret_cast<const char*>(values.data()),
+              static_cast<std::streamsize>(values.size() * sizeof(float)));
   }
   if (!out) {
     throw std::runtime_error("save_parameters: stream write failed");
@@ -55,7 +55,7 @@ void load_parameters(Network& net, std::istream& in) {
     throw std::runtime_error("load_parameters: unsupported version " +
                              std::to_string(version));
   }
-  auto params = net.parameters();
+  const auto params = net.parameter_values();
   const auto groups = read_pod<std::uint32_t>(in);
   if (groups != params.size()) {
     throw std::runtime_error(
@@ -63,12 +63,12 @@ void load_parameters(Network& net, std::istream& in) {
         std::to_string(groups) + ", network " +
         std::to_string(params.size()) + ")");
   }
-  for (ParamView& p : params) {
+  for (const std::span<float> values : params) {
     const auto count = read_pod<std::uint64_t>(in);
-    if (count != p.values.size()) {
+    if (count != values.size()) {
       throw std::runtime_error("load_parameters: group size mismatch");
     }
-    in.read(reinterpret_cast<char*>(p.values.data()),
+    in.read(reinterpret_cast<char*>(values.data()),
             static_cast<std::streamsize>(count * sizeof(float)));
     if (!in) {
       throw std::runtime_error("load_parameters: truncated parameters");

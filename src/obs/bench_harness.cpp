@@ -294,6 +294,20 @@ BenchEntry& Bench::record(const std::string& name, double value,
   return doc_.entries.back();
 }
 
+BenchDocument pool(const std::vector<BenchDocument>& runs) {
+  BenchDocument out = runs.front();
+  for (BenchEntry& entry : out.entries) {
+    std::vector<double> medians;
+    for (const BenchDocument& run : runs) {
+      if (const BenchEntry* e = run.find(entry.name)) {
+        medians.push_back(e->stats.median);
+      }
+    }
+    entry.stats = summarize(std::move(medians));
+  }
+  return out;
+}
+
 std::string to_json(const BenchDocument& doc) {
   std::string out = "{\n";
   out += "  \"schema\": " + json_quote(doc.schema) + ",\n";

@@ -115,6 +115,13 @@ struct BenchDocument {
 /// syntax violation (including documents from a future schema version).
 [[nodiscard]] BenchDocument parse_bench_json(const std::string& text);
 
+/// Pools runs of one suite into one document: each entry of the first run
+/// is summarized over its median in every run that has it, so rounds of
+/// single-iteration runs pool into one run whose iterations were spread
+/// over the rounds. Meta and counters come from the first run.
+/// Precondition: !runs.empty().
+[[nodiscard]] BenchDocument pool(const std::vector<BenchDocument>& runs);
+
 struct BenchOptions {
   int warmup = 2;
   int iters = 10;

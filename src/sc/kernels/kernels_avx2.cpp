@@ -1,6 +1,7 @@
 // AVX2 kernel table: 8-wide comparator packing (8 LFSR states scrambled
-// and compared per iteration, movemask into the packed output word) and
-// 256-bit word operations for the multi-word AND/OR product loops.
+// and compared per vector, 8 vectors' movemasks assembled into each packed
+// output word) and 256-bit word operations for the multi-word AND/OR
+// product loops.
 #include "sc/kernels/kernels_internal.hpp"
 
 #include <algorithm>
@@ -37,10 +38,8 @@ void avx2_compare_pack(const CompareWiring& w, const std::uint32_t* states,
   const bool identity = w.identity;
   const bool do_rot = w.rot != 0;
 
-  std::size_t j = 0;
-  for (; j + 8 <= count; j += 8) {
-    __m256i x = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(states + j));
+  const auto compare8 = [&](const std::uint32_t* s) {
+    __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s));
     if (!identity) {
       x = _mm256_xor_si256(x, pre);
       x = _mm256_and_si256(_mm256_mullo_epi32(x, mul), mask);
@@ -53,21 +52,10 @@ void avx2_compare_pack(const CompareWiring& w, const std::uint32_t* states,
     }
     const __m256i lt =
         _mm256_cmpgt_epi32(lvl, _mm256_xor_si256(x, sign));  // x < level
-    const auto m = static_cast<std::uint32_t>(
+    return static_cast<std::uint32_t>(
         _mm256_movemask_ps(_mm256_castsi256_ps(lt)));  // 8 compare bits
-    const std::size_t bit = bit0 + j;
-    const std::size_t wi = bit >> 6;
-    const unsigned r = static_cast<unsigned>(bit & 63);
-    out[wi] |= static_cast<std::uint64_t>(m) << r;
-    if (r > 56) {
-      // The 8-bit group straddles a word boundary; the caller sizes the
-      // buffer to hold bit0 + count bits, so word wi + 1 exists.
-      out[wi + 1] |= static_cast<std::uint64_t>(m) >> (64 - r);
-    }
-  }
-  if (j < count) {
-    generic_compare_pack(w, states + j, count - j, level, out, bit0 + j);
-  }
+  };
+  pack_compare_bytes(compare8, w, states, count, level, out, bit0);
 }
 
 void avx2_and_or(std::uint64_t* acc, const std::uint64_t* a,

@@ -39,10 +39,8 @@ void sse42_compare_pack(const CompareWiring& w, const std::uint32_t* states,
   const bool identity = w.identity;
   const bool do_rot = w.rot != 0;
 
-  std::size_t j = 0;
-  for (; j + 4 <= count; j += 4) {
-    __m128i x = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(states + j));
+  const auto compare4 = [&](const std::uint32_t* s) {
+    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s));
     if (!identity) {
       x = _mm_xor_si128(x, pre);
       x = _mm_and_si128(_mm_mullo_epi32(x, mul), mask);
@@ -54,21 +52,12 @@ void sse42_compare_pack(const CompareWiring& w, const std::uint32_t* states,
       x = _mm_xor_si128(x, post);
     }
     const __m128i lt = _mm_cmplt_epi32(_mm_xor_si128(x, sign), lvl);
-    const auto m = static_cast<std::uint32_t>(
+    return static_cast<std::uint32_t>(
         _mm_movemask_ps(_mm_castsi128_ps(lt)));  // 4 compare bits
-    const std::size_t bit = bit0 + j;
-    const std::size_t wi = bit >> 6;
-    const unsigned r = static_cast<unsigned>(bit & 63);
-    out[wi] |= static_cast<std::uint64_t>(m) << r;
-    if (r > 60) {
-      // The 4-bit group straddles a word boundary; the caller sizes the
-      // buffer to hold bit0 + count bits, so word wi + 1 exists.
-      out[wi + 1] |= static_cast<std::uint64_t>(m) >> (64 - r);
-    }
-  }
-  if (j < count) {
-    generic_compare_pack(w, states + j, count - j, level, out, bit0 + j);
-  }
+  };
+  pack_compare_bytes(
+      [&](const std::uint32_t* s) { return compare4(s) | compare4(s + 4) << 4; },
+      w, states, count, level, out, bit0);
 }
 
 std::uint64_t sse42_popcount_words(const std::uint64_t* words,

@@ -110,8 +110,9 @@ core::Report check_product_table(const ProductTable& table,
       table.bm_words != (map.slots + 63) / 64 ||
       table.group_bm.size() != groups * table.bm_words ||
       table.words.size() !=
-          (table.has_words ? table.sched.slots() * table.total * seg_words
-                           : 0) ||
+          (table.has_words
+               ? table.sched.positions * table.total * seg_words
+               : 0) ||
       table.weights.size() != codes.size()) {
     report.add("plan-invariant", Severity::kError, at(path),
                "table extents are inconsistent with the layer geometry (" +
@@ -215,21 +216,23 @@ core::Report check_product_table(const ProductTable& table,
   // taps are exercised.
   const std::size_t stride =
       table.total > max_entries ? table.total / max_entries : 1;
+  // Each entry holds its own sign phase's slots only.
   std::vector<std::uint64_t> fresh(seg_words);
   for (std::size_t e = 0; e < table.total; e += stride) {
     const std::uint32_t lane = table.lane_of[e];
-    for (std::size_t si = 0; si < table.sched.slots(); ++si) {
-      const bool positive = si < table.sched.positions;
-      const std::size_t k = positive ? si : si - table.sched.positions;
+    const bool positive = e < table.group_off[map.outputs];
+    for (std::size_t k = 0; k < table.sched.positions; ++k) {
       bank.fill(codes[lane].level, lane, table.sched.offset(positive, k),
                 table.sched.seg, fresh);
       const std::uint64_t* served =
-          table.words.data() + (si * table.total + e) * seg_words;
+          table.words.data() + (k * table.total + e) * seg_words;
       if (std::memcmp(served, fresh.data(),
                       seg_words * sizeof(std::uint64_t)) != 0) {
         report.add("plan-invariant", Severity::kError, at(path),
                    "entry " + std::to_string(e) + " (lane " +
-                       std::to_string(lane) + ") slot " + std::to_string(si) +
+                       std::to_string(lane) + ") " +
+                       (positive ? "positive" : "negative") + " slot " +
+                       std::to_string(k) +
                        " differs from regeneration — the table is not a "
                        "pure function of (bank, schedule, level)");
         return report;

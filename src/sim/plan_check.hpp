@@ -10,10 +10,10 @@
 //     packed word offset stays inside the bank window.
 //   check_product_table — a stage's shared ProductTable agrees with the
 //     weights it was built for: extents, group prefix sums, gated counts,
-//     slot and lane lists in oc-major order, group bitmaps, and entry
-//     words bit-identical to regenerating the same (lane, level, offset)
-//     window from the bank (sampled entries; the golden suite sweeps whole
-//     networks on top of this).
+//     slot and lane lists in oc-major order, group bitmaps, and each
+//     entry's own-phase words bit-identical to regenerating the same
+//     (lane, level, offset) window from the bank (sampled entries; the
+//     golden suite sweeps whole networks on top of this).
 //
 // ScNetwork::validate_plans() runs both over every stage that has
 // executed; debug builds also run check_product_table on every table the

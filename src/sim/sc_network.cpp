@@ -293,20 +293,18 @@ std::int64_t or_chain(const std::uint64_t* act, std::size_t stride,
 }
 
 /// Fills the live entries of @p group (those whose slot satisfies
-/// @p live) with their segment at slot index @p si, straight from the
-/// bank — the over-budget stand-in for ProductTable::group_words(). Dead
-/// entries keep stale words: their activation words are zero, so the
-/// chain's AND drops them anyway.
+/// @p live) with their segment at window slot @p k of the group's phase,
+/// straight from the bank — the over-budget stand-in for
+/// ProductTable::group_words(). Dead entries keep stale words: their
+/// activation words are zero, so the chain's AND drops them anyway.
 template <typename Live>
 const std::uint64_t* fill_group_words(const ProductTable& tbl,
-                                      const StreamBank& bank, std::size_t si,
+                                      const StreamBank& bank, std::size_t k,
                                       std::size_t group, Live live,
                                       std::uint64_t* tile) {
   const SegmentSchedule& sched = tbl.sched;
   const std::size_t words = sched.seg_words();
-  const bool positive = si < sched.positions;
-  const std::size_t offset =
-      sched.offset(positive, positive ? si : si - sched.positions);
+  const std::size_t offset = sched.offset(tbl.positive_group(group), k);
   const std::size_t off = tbl.group_off[group];
   const std::size_t n = tbl.group_off[group + 1] - off;
   for (std::size_t e = 0; e < n; ++e) {
@@ -415,7 +413,6 @@ void conv_row(const ConvRows& c, std::size_t row, ConvWorker& ws) {
       }
       for (int ph = 0; ph < 2; ++ph) {
         const bool positive = ph == 0;
-        const std::size_t si = positive ? sp : sn;
         const std::uint64_t* act = ws.act.data() + (positive ? 0 : rf * words);
         // One activation segment per live slot per phase, served from the
         // plan or generated on the fly.
@@ -446,8 +443,8 @@ void conv_row(const ConvRows& c, std::size_t row, ConvWorker& ws) {
             return ((ws.live_bm[s / 64] >> (s % 64)) & 1u) != 0;
           };
           const std::uint64_t* wgt =
-              wgt_planned ? tbl.group_words(si, group)
-                          : fill_group_words(tbl, c.wgt_bank, si, group,
+              wgt_planned ? tbl.group_words(k, group)
+                          : fill_group_words(tbl, c.wgt_bank, k, group,
                                              live_slot, ws.wgt_tile.data());
           const std::int64_t ones =
               or_chain<W>(act, words, tbl.slot_of.data() + off, wgt, n,
@@ -1214,12 +1211,12 @@ void ScNetwork::run_dense(const LoweredOp& op, std::size_t op_idx,
       }
       const std::uint64_t* wgt;
       if (tbl->has_words) {
-        wgt = tbl->group_words(ph, group);
+        wgt = tbl->group_words(0, group);
         ws.plan.plan_hits += products;
         ws.plan.bits_reused += products * phase;
       } else {
         wgt = fill_group_words(
-            *tbl, wgt_bank, ph, group,
+            *tbl, wgt_bank, 0, group,
             [&](std::uint32_t i) { return act_levels[i] != 0; },
             ws.wgt_stream.data());
         ws.plan.plan_misses += products;

@@ -11,53 +11,57 @@ namespace acoustic::sim {
 
 namespace {
 
-/// Words of the lane buffer slice_lane() needs: both sign phases plus a
-/// zero pad word (the shift-extract may read one word past the end).
-std::size_t lane_buf_words(const SegmentSchedule& sched) {
-  return (2 * sched.phase + 63) / 64 + 1;
+/// Words of the lane buffer slice_lane() needs for @p phases sign phases:
+/// their bits plus a zero pad word (the shift-extract may read one word
+/// past the end).
+std::size_t lane_buf_words(const SegmentSchedule& sched, std::size_t phases) {
+  return (phases * sched.phase + 63) / 64 + 1;
 }
 
-/// Generates (level, lane)'s stream over both sign phases into @p buf and
-/// slices every slot of @p sched out of it: slot s lands at
-/// dst + s * stride. One kernel run covers the whole lane; fill() maps
-/// output bit j of (offset, count) to shared sequence position offset + j,
-/// so slicing the [0, 2*phase) run at offset(positive, k) is bit-identical
-/// to a per-slot fill, at one wiring hoist and one state sweep per lane
-/// instead of one per slot.
+/// Generates (level, lane)'s stream over @p phases sign phases from bank
+/// bit @p start into @p buf and slices every window slot of each out of
+/// it: slot k of phase p lands at dst + (p * positions + k) * stride. One
+/// kernel run covers the whole window; fill() maps output bit j of
+/// (offset, count) to shared sequence position offset + j, so slicing the
+/// run is bit-identical to a per-slot fill, at one wiring hoist and one
+/// state sweep per lane instead of one per slot. A LayerStreamPlan lane
+/// takes both phases from bit 0; a ProductTable entry takes its own phase
+/// only, from offset(positive, 0).
 void slice_lane(const StreamBank& bank, const SegmentSchedule& sched,
-                std::uint32_t level, std::uint32_t lane, std::uint64_t* buf,
-                std::uint64_t* dst, std::size_t stride) {
+                std::uint32_t level, std::uint32_t lane, std::size_t start,
+                std::size_t phases, std::uint64_t* buf, std::uint64_t* dst,
+                std::size_t stride) {
   const std::size_t seg_words = sched.seg_words();
-  const std::size_t run_words = lane_buf_words(sched) - 1;
+  const std::size_t run_words = lane_buf_words(sched, phases) - 1;
   const unsigned tail = static_cast<unsigned>(sched.seg % 64);
   const std::uint64_t tail_mask =
       tail != 0 ? (std::uint64_t{1} << tail) - 1 : ~std::uint64_t{0};
-  bank.fill(level, lane, 0, 2 * sched.phase, {buf, run_words});
+  bank.fill(level, lane, start, phases * sched.phase, {buf, run_words});
   buf[run_words] = 0;
-  for (std::size_t slot = 0; slot < sched.slots(); ++slot) {
-    const bool positive = slot < sched.positions;
-    const std::size_t k = positive ? slot : slot - sched.positions;
-    const std::size_t bit0 = sched.offset(positive, k);
-    std::uint64_t* out = dst + slot * stride;
-    for (std::size_t w = 0; w < seg_words; ++w) {
-      const std::size_t bit = bit0 + w * 64;
-      const std::size_t i = bit / 64;
-      const unsigned r = static_cast<unsigned>(bit % 64);
-      std::uint64_t v = buf[i] >> r;
-      if (r != 0) {
-        v |= buf[i + 1] << (64u - r);
+  for (std::size_t p = 0; p < phases; ++p) {
+    for (std::size_t k = 0; k < sched.positions; ++k) {
+      const std::size_t bit0 = p * sched.phase + k * sched.seg;
+      std::uint64_t* out = dst + (p * sched.positions + k) * stride;
+      for (std::size_t w = 0; w < seg_words; ++w) {
+        const std::size_t bit = bit0 + w * 64;
+        const std::size_t i = bit / 64;
+        const unsigned r = static_cast<unsigned>(bit % 64);
+        std::uint64_t v = buf[i] >> r;
+        if (r != 0) {
+          v |= buf[i + 1] << (64u - r);
+        }
+        // Bits past the segment end must be zero, exactly as a direct
+        // fill() of `seg` bits leaves them.
+        out[w] = w + 1 == seg_words ? v & tail_mask : v;
       }
-      // Bits past the segment end must be zero, exactly as a direct
-      // fill() of `seg` bits leaves them.
-      out[w] = w + 1 == seg_words ? v & tail_mask : v;
     }
   }
 }
 
 /// Builds one stage's product table. Two passes go over output channels,
 /// codes and counts, then entry lists, around a prefix sum over groups.
-/// Then each entry's stream segments are sliced into the
-/// [slot][entry][word] layout. On
+/// Then each entry's own-phase stream segments are sliced into the
+/// [k][entry][word] layout. On
 /// @p pool the channel passes are sharded over channel chunks (channel oc
 /// writes only its own weights' codes and groups oc and outputs + oc) and
 /// the fill over entries. Every write is disjoint and every value a pure
@@ -143,14 +147,16 @@ std::shared_ptr<const ProductTable> build_product_table(
   if (tbl->has_words) {
     const std::size_t seg_words = sched.seg_words();
     const std::size_t stride = tbl->total * seg_words;
+    const std::size_t first_negative = tbl->group_off[outputs];
     // Uninitialised: the fill writes every word of every entry's slots.
-    tbl->words.resize(sched.slots() * stride);
+    tbl->words.resize(sched.positions * stride);
     const auto fill_entry = [&](std::size_t e, std::uint64_t* buf) {
       const std::uint32_t lane = tbl->lane_of[e];
-      slice_lane(bank, sched, codes[lane].level, lane, buf,
+      slice_lane(bank, sched, codes[lane].level, lane,
+                 sched.offset(e < first_negative, 0), 1, buf,
                  tbl->words.data() + e * seg_words, stride);
     };
-    const std::size_t buf_words = lane_buf_words(sched);
+    const std::size_t buf_words = lane_buf_words(sched, 1);
     if (pool != nullptr && tbl->total > 1) {
       std::vector<std::vector<std::uint64_t>> bufs(
           pool->size(), std::vector<std::uint64_t>(buf_words));
@@ -193,7 +199,7 @@ void LayerStreamPlan::build(std::span<const std::uint32_t> levels,
   if (!enabled_) {
     return;
   }
-  const std::size_t buf_words = lane_buf_words(sched_);
+  const std::size_t buf_words = lane_buf_words(sched_, 2);
   const std::size_t row_words = sched_.words_per_lane();
   const auto build_lane = [&](std::size_t lane, std::uint64_t* buf) {
     const std::uint32_t level = levels[lane];
@@ -201,8 +207,8 @@ void LayerStreamPlan::build(std::span<const std::uint32_t> levels,
       built_[lane] = 0;  // operand-gated: never fetched
       return;
     }
-    slice_lane(*bank_, sched_, level, static_cast<std::uint32_t>(lane), buf,
-               words_.data() + lane * row_words, sched_.seg_words());
+    slice_lane(*bank_, sched_, level, static_cast<std::uint32_t>(lane), 0, 2,
+               buf, words_.data() + lane * row_words, sched_.seg_words());
     built_[lane] = 1;
   };
   if (pool != nullptr && lanes_ > 1) {

@@ -16,9 +16,9 @@
 // The executor uses one per stage for the activations, rebuilt per image.
 //
 // The weight side is a ProductTable: the same segments for every live
-// weight, grouped by (sign phase, output) in the order the datapath reads
-// them, built once per stage and shared read-only by every executor clone
-// through a WeightPlanStore.
+// weight in its own sign phase, grouped by (sign phase, output) in the
+// order the datapath reads them, built once per stage and shared
+// read-only by every executor clone through a WeightPlanStore.
 //
 // Memory is bounded: a table that would exceed its byte budget is not
 // materialized, and the executor generates those segments on the fly
@@ -200,12 +200,13 @@ struct WeightCode {
   return {bank.quantize(std::fabs(w)), w > 0.0f ? 1 : (w < 0.0f ? -1 : 0)};
 }
 
-/// Bytes of a packed table holding every slot of @p lanes lanes: a
-/// LayerStreamPlan's table, and a ProductTable's words at their worst case
-/// (every weight live). The executor and the static analyzer both budget a
-/// stage with this figure, so a stage falls back to on-the-fly streams
-/// exactly when the analyzer says it does. It depends on the geometry
-/// alone, so retraining never flips the decision.
+/// Bytes of a packed table holding every slot of @p lanes lanes in both
+/// sign phases: a LayerStreamPlan's table, and twice a ProductTable's
+/// words at their worst case (every weight live; the table stores only
+/// each entry's own phase). The executor and the static analyzer both
+/// budget a stage with this figure, so a stage falls back to on-the-fly
+/// streams exactly when the analyzer says it does. It depends on the
+/// geometry alone, so retraining never flips the decision.
 [[nodiscard]] inline std::size_t plan_table_bytes(
     std::size_t lanes, const SegmentSchedule& sched) noexcept {
   return lanes * sched.words_per_lane() * sizeof(std::uint64_t);
@@ -269,11 +270,14 @@ using TableVector = std::vector<T, TableAllocator<T>>;
 /// Every group's slots are also set in a bitmap, so a row body counts its
 /// live products with popcounts instead of per-entry branches.
 ///
-/// `words` holds each entry's stream segments as [slot][entry][word]: the
-/// entries of one group are sequential loads per (phase, window slot).
-/// It stays empty when plan_table_bytes() over all weights exceeds the
-/// plan budget; the executor then fills live entries' words from the bank
-/// on the fly.
+/// `words` holds each entry's stream segments in its own sign phase only,
+/// as [phase-local slot k][entry][word]: split-unipolar gives a live
+/// weight a stream in one phase, and its other phase is all zeros that no
+/// reader fetches. The entries of one group are sequential loads per
+/// window slot, and an entry's phase follows from its index (entries from
+/// group_off[outputs] on are negative). `words` stays empty when
+/// plan_table_bytes() over all weights exceeds the plan budget; the
+/// executor then fills live entries' words from the bank on the fly.
 struct alignas(TableAllocator<char>::kLine) ProductTable {
   SegmentSchedule sched;
   WeightMap map;
@@ -285,18 +289,21 @@ struct alignas(TableAllocator<char>::kLine) ProductTable {
   TableVector<std::uint32_t> slot_of;    ///< entry -> receptive-field slot
   TableVector<std::uint32_t> lane_of;    ///< entry -> weight index (lane)
   TableVector<std::uint64_t> group_bm;   ///< [group][bm_words] slot bitmap
-  TableVector<std::uint64_t> words;      ///< [slot][entry][word] or empty
+  TableVector<std::uint64_t> words;      ///< [k][entry][word] or empty
   std::size_t total = 0;                 ///< entries across all groups
   std::size_t bm_words = 0;
   bool has_words = false;  ///< words fit the budget and were built
 
   [[nodiscard]] std::size_t groups() const noexcept { return 2 * map.outputs; }
-  /// First word of @p group's entries at slot index @p slot.
-  /// Precondition: has_words.
+  /// True when @p group counts in the positive sign phase.
+  [[nodiscard]] bool positive_group(std::size_t group) const noexcept {
+    return group < map.outputs;
+  }
+  /// First word of @p group's entries at window slot @p k of the group's
+  /// own sign phase. Precondition: has_words.
   [[nodiscard]] const std::uint64_t* group_words(
-      std::size_t slot, std::size_t group) const noexcept {
-    return words.data() +
-           (slot * total + group_off[group]) * sched.seg_words();
+      std::size_t k, std::size_t group) const noexcept {
+    return words.data() + (k * total + group_off[group]) * sched.seg_words();
   }
 };
 

@@ -150,6 +150,28 @@ obs::BenchDocument make_doc(const std::string& name, double median,
   return doc;
 }
 
+TEST(BenchHarness, PoolSummarizesEachEntryOverRunMedians) {
+  // Rounds of single-iteration runs pool into one run: the first run's
+  // entries, each summarized over its medians in the runs that have it.
+  std::vector<obs::BenchDocument> runs;
+  for (const double median : {30.0, 10.0, 20.0}) {
+    runs.push_back(make_doc("a", median, 0.0));
+  }
+  runs[0].entries.push_back(make_doc("only-first", 5.0, 0.0).entries[0]);
+  runs[1].entries.push_back(make_doc("only-second", 7.0, 0.0).entries[0]);
+  const obs::BenchDocument pooled = obs::pool(runs);
+  ASSERT_EQ(pooled.entries.size(), 2u);
+  const obs::BenchStats& a = pooled.entries[0].stats;
+  EXPECT_EQ(a.iters, 3u);
+  EXPECT_DOUBLE_EQ(a.median, 20.0);
+  EXPECT_DOUBLE_EQ(a.mad, 10.0);
+  EXPECT_DOUBLE_EQ(a.min, 10.0);
+  EXPECT_EQ(pooled.entries[1].name, "only-first");
+  EXPECT_EQ(pooled.entries[1].stats.iters, 1u);
+  EXPECT_DOUBLE_EQ(pooled.entries[1].stats.median, 5.0);
+  EXPECT_EQ(pooled.meta.cpu, "test-cpu");
+}
+
 TEST(BenchCompare, UnchangedWithinNoise) {
   // Threshold = max(4 * max(MADs), 0.10 * base) = max(4*2, 10) = 10;
   // a +8 move on base 100 stays unchanged.

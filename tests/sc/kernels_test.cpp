@@ -113,15 +113,26 @@ TEST(Kernels, ComparePackMatchesScalarReferenceEverywhere) {
         }
         for (const std::size_t bit0 :
              {std::size_t{0}, std::size_t{1}, std::size_t{37},
-              std::size_t{63}}) {
+              std::size_t{63}, std::size_t{200}}) {
           const std::size_t total_words = (bit0 + count + 63) / 64 + 1;
+          // Bits outside [bit0, bit0 + count) hold a pattern the kernel
+          // must leave alone: a wrap-around fill packs its second run
+          // mid-word after the first.
+          std::vector<std::uint64_t> outside = random_words(
+              total_words, static_cast<std::uint32_t>(1 + count + bit0));
+          for (std::size_t b = bit0; b < bit0 + count; ++b) {
+            outside[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+          }
           for (const std::uint32_t cmp_level :
                {std::uint32_t{0}, std::uint32_t{1}, (mask >> 1) + 1,
                 mask, mask + 1}) {
-            const std::vector<std::uint64_t> want = expected_pack(
+            std::vector<std::uint64_t> want = expected_pack(
                 wiring, states, cmp_level, bit0, total_words);
+            for (std::size_t i = 0; i < total_words; ++i) {
+              want[i] |= outside[i];
+            }
             for (const kn::Level level : levels) {
-              std::vector<std::uint64_t> got(total_words, 0);
+              std::vector<std::uint64_t> got = outside;
               kn::table_for(level).compare_pack(wiring, states.data(),
                                                count, cmp_level, got.data(),
                                                bit0);

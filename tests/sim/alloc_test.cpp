@@ -5,7 +5,8 @@
 // ScratchArena promise: after warm-up, a planned-mode forward performs
 // ZERO heap allocations, and a BatchEvaluator run's allocation COUNT is
 // independent of how many images it evaluates — every per-image buffer
-// (logits, arena scratch, stream plans, product tables) is reused.
+// (logits, arena scratch, stream plans, product tables) is reused. It also
+// counts heap bytes, to show that inference snapshots hold no gradients.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,9 +25,11 @@
 namespace {
 
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -36,6 +39,7 @@ void* counted_alloc(std::size_t size) {
 
 void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, alignment < sizeof(void*) ? sizeof(void*) : alignment,
                      size == 0 ? alignment : size) != 0) {
@@ -78,6 +82,35 @@ nn::Tensor random_image(std::uint32_t seed) {
     t[i] = static_cast<float>(rng.next_double());
   }
   return t;
+}
+
+TEST(AllocFree, ClonesAndBackendsHoldNoGradients) {
+  // Gradients are allocated on first use, so a network clone, and every
+  // backend snapshot built from one, copies the parameters and nothing as
+  // large beside them. Asking a clone for its optimizer views then
+  // allocates the gradients: the control that the byte count sees them.
+  nn::Network net = train::build_cifar_small(nn::AccumMode::kOrApprox, 16);
+  const std::uint64_t param_bytes = net.parameter_count() * sizeof(float);
+  ASSERT_GT(param_bytes, 0u);
+  const auto bytes_of = [](const auto& fn) {
+    const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+    fn();
+    return g_bytes.load(std::memory_order_relaxed) - before;
+  };
+  nn::Network copy;
+  const std::uint64_t clone_bytes = bytes_of([&] { copy = net.clone(); });
+  EXPECT_GE(clone_bytes, param_bytes);
+  EXPECT_LT(clone_bytes, param_bytes + param_bytes / 2);
+  EXPECT_GE(bytes_of([&] { (void)copy.parameters(); }), param_bytes);
+
+  sim::ScConfig cfg;
+  cfg.stream_length = 64;
+  const std::uint64_t backend_bytes = bytes_of([&] {
+    const auto backend = sim::make_sc_backend(net, cfg);
+    const auto sibling = backend->clone();
+  });
+  // The backend's snapshot and its clone's: two parameter copies.
+  EXPECT_LT(backend_bytes, 3 * param_bytes);
 }
 
 TEST(AllocFree, PlannedForwardAllocatesNothingAfterWarmup) {

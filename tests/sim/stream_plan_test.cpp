@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
@@ -219,7 +220,7 @@ TEST(WeightPlanStoreTest, KeysOnSignPhaseAndSchedule) {
   // longer tiles): a table with the other slot layout.
   const auto by_sched = store.get(0, full, map, flipped, 0, nullptr);
   EXPECT_NE(by_sched.get(), by_sign.get());
-  EXPECT_EQ(by_sched->words.size(), full.slots() * by_sched->total);
+  EXPECT_EQ(by_sched->words.size(), full.positions * by_sched->total);
   EXPECT_EQ(store.builds(), 3u);
 }
 
@@ -349,6 +350,66 @@ void expect_line_aligned(const ProductTable& t) {
   EXPECT_TRUE(line(t.lane_of.data()));
   EXPECT_TRUE(line(t.group_bm.data()));
   EXPECT_TRUE(line(t.words.data()));
+}
+
+TEST(WeightPlanStoreTest, EntriesHoldTheirOwnSignPhaseOnly) {
+  // A table stores each live weight's stream in its own sign phase only,
+  // as [k][entry][word]. Every served segment must equal a direct bank
+  // fill at offset(own phase, k), under pooled and full-phase schedules
+  // whose segments end inside a word or span several words.
+  struct Case {
+    std::size_t stream;
+    std::size_t positions;
+  };
+  // phase 50: seg 50 and 12 (partial word); phase 520: seg 520 and 130
+  // (several words, partial last word).
+  const Case cases[] = {{100, 1}, {100, 4}, {1040, 1}, {1040, 4}};
+  // A grouped 3x3 conv (12 outputs in 2 groups over 8 inputs) and a dense
+  // layer.
+  const WeightMap maps[] = {WeightMap{12, 9 * 8, 8, 4, 6, 9 * 4},
+                            WeightMap::dense(6, 40)};
+  for (const Case& c : cases) {
+    ScConfig cfg;
+    cfg.stream_length = c.stream;
+    const std::size_t phase = cfg.phase_length();
+    const SegmentSchedule sched{phase, c.positions, phase / c.positions};
+    for (std::size_t m = 0; m < 2; ++m) {
+      const WeightMap& map = maps[m];
+      const std::vector<float> weights = varied_weights(
+          map.outputs * map.w_per_oc, static_cast<std::uint32_t>(m + 5));
+      WeightPlanStore store(cfg, 1);
+      const auto tbl = store.get(0, sched, map, weights, 0, nullptr);
+      SCOPED_TRACE("stream " + std::to_string(c.stream) + " positions " +
+                   std::to_string(c.positions) + " map " + std::to_string(m));
+      ASSERT_TRUE(tbl->has_words);
+      const std::size_t seg_words = sched.seg_words();
+      EXPECT_EQ(tbl->words.size(), sched.positions * tbl->total * seg_words);
+      // Both phases hold live entries, so both halves are exercised.
+      ASSERT_GT(tbl->group_off[map.outputs], 0u);
+      ASSERT_LT(tbl->group_off[map.outputs], tbl->total);
+      std::vector<std::uint64_t> want(seg_words);
+      for (std::size_t g = 0; g < tbl->groups(); ++g) {
+        const bool positive = tbl->positive_group(g);
+        for (std::size_t k = 0; k < sched.positions; ++k) {
+          const std::uint64_t* served = tbl->group_words(k, g);
+          for (std::size_t e = tbl->group_off[g]; e < tbl->group_off[g + 1];
+               ++e, served += seg_words) {
+            const std::uint32_t lane = tbl->lane_of[e];
+            store.bank().fill(weight_code(store.bank(), weights[lane]).level,
+                              lane, sched.offset(positive, k), sched.seg,
+                              want);
+            ASSERT_EQ(std::memcmp(served, want.data(),
+                                  seg_words * sizeof(std::uint64_t)),
+                      0)
+                << "group " << g << " slot " << k << " entry " << e;
+          }
+        }
+      }
+      EXPECT_TRUE(
+          check_product_table(*tbl, store.bank(), weights, "t", tbl->total)
+              .clean());
+    }
+  }
 }
 
 TEST(WeightPlanStoreTest, PreparedTablesEqualLazyTables) {

@@ -809,19 +809,35 @@ int report_eval(const EvalOptions& opt, const EvalRun& run) {
   return 0;
 }
 
-/// `acoustic bench`: run the registered suites under the shared harness
-/// into one bench.v1 document; optionally persist it (--json) and gate
-/// against a previous one (--compare).
-int cmd_bench(const BenchCliOptions& opt) {
-  if (opt.list) {
-    core::Table table({"suite", "description"});
-    for (const tools::BenchSuite& suite : tools::bench_suites()) {
-      table.add_row({suite.name, suite.description});
+/// Reads the bench.v1 documents at @p paths and pools them (obs::pool);
+/// false after printing why one could not be read.
+bool read_pooled(const std::vector<std::string>& paths, const char* what,
+                 obs::BenchDocument& out) {
+  std::vector<obs::BenchDocument> runs;
+  for (const std::string& path : paths) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "bench: cannot read %s '%s'\n", what, path.c_str());
+      return false;
     }
-    std::printf("%s", table.to_string().c_str());
-    return 0;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    try {
+      runs.push_back(obs::parse_bench_json(buffer.str()));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bench: %s '%s': %s\n", what, path.c_str(),
+                   e.what());
+      return false;
+    }
   }
+  out = obs::pool(runs);
+  return true;
+}
 
+/// Runs the selected suites under the shared harness, prints their table
+/// and writes --json; returns the exit code (0 on success) and the
+/// document in @p doc.
+int run_bench(const BenchCliOptions& opt, obs::BenchDocument& doc) {
   std::vector<const tools::BenchSuite*> selected;
   if (opt.suites.empty()) {
     for (const tools::BenchSuite& suite : tools::bench_suites()) {
@@ -856,7 +872,7 @@ int cmd_bench(const BenchCliOptions& opt) {
     suite->run(bench, opt.suite);
   }
 
-  const obs::BenchDocument& doc = bench.document();
+  doc = bench.take();
   const obs::BenchMeta& meta = doc.meta;
   std::printf("bench: %s | %s | simd %s | %s build | counters:",
               meta.host.c_str(),
@@ -893,25 +909,37 @@ int cmd_bench(const BenchCliOptions& opt) {
     }
     std::printf("\nwrote %s\n", opt.json_path.c_str());
   }
+  return 0;
+}
 
-  if (opt.compare_path.empty()) {
+/// `acoustic bench`: run the registered suites under the shared harness
+/// into one bench.v1 document; optionally persist it (--json) and gate
+/// against a previous one (--compare). --current compares saved runs
+/// instead of running the suites; several runs on either side are pooled,
+/// so baseline and current rounds can alternate in time.
+int cmd_bench(const BenchCliOptions& opt) {
+  if (opt.list) {
+    core::Table table({"suite", "description"});
+    for (const tools::BenchSuite& suite : tools::bench_suites()) {
+      table.add_row({suite.name, suite.description});
+    }
+    std::printf("%s", table.to_string().c_str());
     return 0;
   }
 
-  std::ifstream in(opt.compare_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "bench: cannot read baseline '%s'\n",
-                 opt.compare_path.c_str());
-    return 1;
+  obs::BenchDocument doc;
+  if (!opt.current_paths.empty()) {
+    if (!read_pooled(opt.current_paths, "run", doc)) {
+      return 1;
+    }
+  } else if (const int rc = run_bench(opt, doc); rc != 0) {
+    return rc;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  if (opt.compare_paths.empty()) {
+    return 0;
+  }
   obs::BenchDocument baseline;
-  try {
-    baseline = obs::parse_bench_json(buffer.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench: baseline '%s': %s\n",
-                 opt.compare_path.c_str(), e.what());
+  if (!read_pooled(opt.compare_paths, "baseline", baseline)) {
     return 1;
   }
 
@@ -927,7 +955,8 @@ int cmd_bench(const BenchCliOptions& opt) {
                                         : std::string("-"),
                       core::format_number(entry.threshold, 4)});
   }
-  std::printf("\ncompare vs %s:\n%s", opt.compare_path.c_str(),
+  std::printf("\ncompare vs %s%s:\n%s", opt.compare_paths.front().c_str(),
+              opt.compare_paths.size() > 1 ? " (pooled with later runs)" : "",
               verdicts.to_string().c_str());
   std::printf("summary: %zu improved, %zu unchanged, %zu regressed\n",
               cmp.improved, cmp.unchanged, cmp.regressed);

@@ -126,7 +126,7 @@ void run_kernels(obs::Bench& bench, const BenchSuiteOptions& options) {
   });
 }
 
-// --- plan: LayerStreamPlan build for one layer's weight lanes ---
+// --- plan: LayerStreamPlan and ProductTable builds for one layer ---
 
 void run_plan(obs::Bench& bench, const BenchSuiteOptions& options) {
   const std::size_t stream = options.stream;
@@ -148,6 +148,26 @@ void run_plan(obs::Bench& bench, const BenchSuiteOptions& options) {
     sim::StreamPlanCounters counters;
     plan.build(levels, counters);
     sink(counters.bits_generated);
+  });
+
+  // One stage's ProductTable, as WeightPlanStore::get builds it on a cache
+  // miss: a 3x3 conv over the same phase, mixed-sign weights, serial. Each
+  // iteration flips one weight's sign, so every get() rebuilds.
+  sim::ScConfig cfg;
+  cfg.stream_length = 2 * stream;
+  const std::size_t channels = options.quick ? 16 : 64;
+  const sim::WeightMap map{channels, 9 * channels, channels,
+                           channels,  channels,    9 * channels};
+  std::vector<float> weights(channels * map.w_per_oc);
+  sc::XorShift32 rng(0x7ab1e);
+  for (float& w : weights) {
+    w = static_cast<float>(rng.next_double()) * 2.0f - 1.0f;
+  }
+  sim::WeightPlanStore store(cfg, 1);
+  bench.run("plan/product_table", [&] {
+    weights[0] = -weights[0];
+    sink(store.get(0, sched, map, weights, /*budget_bytes=*/0, nullptr)
+             ->total);
   });
 }
 
@@ -266,7 +286,7 @@ const std::vector<BenchSuite>& bench_suites() {
        run_forward},
       {"kernels", "SIMD kernel table: word ops, popcounts, comparator pack",
        run_kernels},
-      {"plan", "LayerStreamPlan build cost for one layer's weight lanes",
+      {"plan", "LayerStreamPlan and ProductTable build cost for one layer",
        run_plan},
       {"throughput", "BatchEvaluator images/s at 1..N worker threads",
        run_throughput},

@@ -98,9 +98,13 @@ FlagTable bench_flags(BenchCliOptions& opt) {
              "throughput sweep ceiling, 0 = all hardware threads")
       .text("--json", opt.json_path, "FILE",
             "write the bench.v1 trajectory document")
-      .text("--compare", opt.compare_path, "FILE",
+      .list("--compare", opt.compare_paths, "FILE",
             "print improved/unchanged/regressed verdicts against a "
-            "baseline document; exit 1 on a regression")
+            "baseline document (several are pooled); exit 1 on a "
+            "regression")
+      .list("--current", opt.current_paths, "FILE",
+            "compare saved documents (several are pooled) instead of "
+            "running the suites")
       .real("--noise", opt.compare.noise_mult, 0.0, 1e6,
             "regression threshold in MADs")
       .real("--tolerance", opt.compare.rel_floor, 0.0, 1e6,

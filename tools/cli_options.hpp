@@ -44,7 +44,8 @@ struct BenchCliOptions {
   int warmup = -1;                  ///< -1 = default (2, or 1 with --quick)
   BenchSuiteOptions suite;
   std::string json_path;
-  std::string compare_path;
+  std::vector<std::string> compare_paths;  ///< baseline runs, pooled
+  std::vector<std::string> current_paths;  ///< saved runs, pooled
   obs::CompareOptions compare;
   bool counters = true;
   bool strict = false;
